@@ -1,9 +1,10 @@
 // Micro-benchmarks for the wire/RPC substrate: serialization throughput of
-// the cache protocol and the full loopback round trip.
+// the cache protocol, the CRC32C checksum, and the full loopback round trip.
 #include <benchmark/benchmark.h>
 
 #include <string>
 
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "net/message.h"
 #include "net/rpc.h"
@@ -57,6 +58,18 @@ void BM_FrameSerializeParse(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FrameSerializeParse)->Arg(64)->Arg(4096);
+
+// The frame, WAL and snapshot checksum on its own, through the runtime
+// dispatch.  Gated so that a dispatch that falls back to the portable
+// table walk on an SSE4.2 host (~15x slower per byte) fails check_bench.py.
+void BM_Crc32c(benchmark::State& state) {
+  const std::string data(static_cast<std::size_t>(state.range(0)), 'c');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ecc::crc32c::Value(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(1024)->Arg(32768);
 
 void BM_LoopbackCall(benchmark::State& state) {
   net::RpcServer server;

@@ -146,12 +146,7 @@ void CacheNode::InstallHandlers() {
                 rpc_ops_.Inc();
                 auto req = net::GetRequest::Decode(m);
                 if (!req.ok()) return req.status();
-                net::GetResponse resp;
-                if (const std::string* v = Find(req->key)) {
-                  resp.found = true;
-                  resp.value = *v;
-                }
-                return resp.Encode();
+                return net::GetResponse::EncodeFrom(Find(req->key));
               });
   rpc_.Handle(net::MsgType::kPutRequest,
               [this](const net::Message& m) -> StatusOr<net::Message> {

@@ -125,10 +125,11 @@ void NodeDurability::Detach() {
   }
 }
 
-void NodeDurability::AppendLocked(const WalRecord& r) {
+void NodeDurability::AppendLocked(WalRecord::Op op, core::Key key,
+                                  core::Key hi, std::string_view value) {
   if (!wal_.is_open()) return;
   const std::uint64_t before = wal_.bytes_appended();
-  if (Status s = wal_.Append(r); !s.ok()) {
+  if (Status s = wal_.Append(op, key, hi, value); !s.ok()) {
     // A full disk must not take the cache down; it only loses durability.
     ECC_LOG_ERROR("durability: %s: %s", dir_.c_str(), s.message().c_str());
     return;
@@ -149,29 +150,18 @@ void NodeDurability::AppendLocked(const WalRecord& r) {
 }
 
 void NodeDurability::OnInsert(core::Key k, std::string_view v) {
-  WalRecord r;
-  r.op = WalRecord::Op::kPut;
-  r.key = k;
-  r.value.assign(v.data(), v.size());
   const std::lock_guard<std::mutex> g(mutex_);
-  AppendLocked(r);
+  AppendLocked(WalRecord::Op::kPut, k, 0, v);
 }
 
 void NodeDurability::OnErase(core::Key k) {
-  WalRecord r;
-  r.op = WalRecord::Op::kErase;
-  r.key = k;
   const std::lock_guard<std::mutex> g(mutex_);
-  AppendLocked(r);
+  AppendLocked(WalRecord::Op::kErase, k, 0, {});
 }
 
 void NodeDurability::OnEraseRange(core::Key lo, core::Key hi) {
-  WalRecord r;
-  r.op = WalRecord::Op::kEraseRange;
-  r.key = lo;
-  r.hi = hi;
   const std::lock_guard<std::mutex> g(mutex_);
-  AppendLocked(r);
+  AppendLocked(WalRecord::Op::kEraseRange, lo, hi, {});
 }
 
 void NodeDurability::OnRestore() {

@@ -103,7 +103,10 @@ class NodeDurability final : public core::ShardMutationListener {
   void OnRestore() override;
 
  private:
-  void AppendLocked(const WalRecord& r);
+  /// Log one mutation (fields as in WriteAheadLog::Append); compacts once
+  /// the log has grown past the snapshot threshold.
+  void AppendLocked(WalRecord::Op op, core::Key key, core::Key hi,
+                    std::string_view value);
   Status CompactLocked();
 
   const std::string dir_;

@@ -7,15 +7,25 @@
 #include <cstdint>
 #include <cstring>
 
-#include "net/message.h"
+#include "common/crc32c.h"
 #include "net/wire.h"
 
 namespace ecc::durability {
 
 namespace {
 
-constexpr std::uint32_t kSnapshotMagic = 0x45435353;  // "ECSS"
+/// The magic doubles as the format version.  "ESC2" on disk: CRC32C over
+/// the magic, the length and the payload.
+constexpr std::uint32_t kSnapshotMagic = 0x32435345;
+/// Format 1 ("SSCE" on disk): an FNV-1a checksum of the payload.  Only
+/// recognised to say why such a file is refused.
+constexpr std::uint32_t kSnapshotMagicV1 = 0x45435353;
 constexpr std::size_t kSnapshotHeaderBytes = 4 + 4 + 4;
+
+/// CRC32C of the first eight header bytes (magic, length), then `payload`.
+std::uint32_t SnapshotCrc(const char* header, std::string_view payload) {
+  return crc32c::Extend(crc32c::Value(std::string_view(header, 8)), payload);
+}
 
 Status SysError(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
@@ -54,13 +64,14 @@ Status WriteSnapshotFile(const std::string& dir, const std::string& payload) {
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return SysError("snapshot open " + tmp);
 
-  net::WireWriter w;
-  w.PutU32(kSnapshotMagic);
-  w.PutU32(static_cast<std::uint32_t>(payload.size()));
-  w.PutU32(net::FramePayloadCrc(payload));
-  const std::string header = w.TakeBuffer();
+  char header[kSnapshotHeaderBytes];
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  std::memcpy(header, &kSnapshotMagic, 4);
+  std::memcpy(header + 4, &len, 4);
+  const std::uint32_t crc = SnapshotCrc(header, payload);
+  std::memcpy(header + 8, &crc, 4);
 
-  Status s = WriteAll(fd, header.data(), header.size());
+  Status s = WriteAll(fd, header, sizeof(header));
   if (s.ok()) s = WriteAll(fd, payload.data(), payload.size());
   if (s.ok() && ::fsync(fd) != 0) s = SysError("snapshot fsync " + tmp);
   ::close(fd);
@@ -102,6 +113,10 @@ StatusOr<std::string> LoadSnapshotFile(const std::string& dir) {
   std::uint32_t len = 0;
   std::uint32_t crc = 0;
   if (Status s = r.GetU32(magic); !s.ok()) return s;
+  if (magic == kSnapshotMagicV1) {
+    return Status::InvalidArgument(
+        "snapshot format 1 (FNV-1a) is no longer read: " + live);
+  }
   if (magic != kSnapshotMagic) {
     return Status::InvalidArgument("not a snapshot file: " + live);
   }
@@ -110,11 +125,13 @@ StatusOr<std::string> LoadSnapshotFile(const std::string& dir) {
   if (data.size() != kSnapshotHeaderBytes + len) {
     return Status::InvalidArgument("snapshot length mismatch: " + live);
   }
-  std::string payload = data.substr(kSnapshotHeaderBytes);
-  if (net::FramePayloadCrc(payload) != crc) {
+  if (SnapshotCrc(data.data(),
+                  std::string_view(data).substr(kSnapshotHeaderBytes)) !=
+      crc) {
     return Status::InvalidArgument("snapshot checksum mismatch: " + live);
   }
-  return payload;
+  data.erase(0, kSnapshotHeaderBytes);  // the payload, moved down in place
+  return data;
 }
 
 }  // namespace ecc::durability

@@ -1,10 +1,15 @@
 // Atomic on-disk snapshots of one shard.
 //
 // A snapshot file wraps a CacheNode::SerializeShard() blob in the same
-// header idiom as the WAL: `u32 magic | u32 length | u32 FNV-1a checksum |
-// payload`.  Writes go through a temp file + fsync + rename-into-place +
-// directory fsync, so a crash at any point leaves either the old snapshot
-// or the new one — never a partial file under the live name.
+// header idiom as the WAL: `u32 magic | u32 length | u32 CRC32C |
+// payload`, little-endian, with the CRC32C (common/crc32c.h) taken over the
+// magic, the length and then the payload.  The magic is also the format
+// version: "ESC2" on disk.  A format 1 file ("SSCE", FNV-1a checksum) is
+// refused on its magic alone, like any damaged snapshot, and recovery falls
+// back to the WAL.  Writes go through a temp file + fsync +
+// rename-into-place + directory fsync, so a crash at any point leaves
+// either the old snapshot or the new one — never a partial file under the
+// live name.
 #pragma once
 
 #include <string>

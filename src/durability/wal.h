@@ -1,12 +1,21 @@
 // Append-only write-ahead log for one cache shard.
 //
 // Record framing reuses the wire idiom from src/net (framing.h/message.h):
-// each record is `u32 length | u32 FNV-1a checksum | body`, little-endian,
-// with the checksum taken over the body bytes.  The body is a WireWriter
-// encoding of one shard mutation (put / erase / erase-range).
+// each record is `u32 length | u32 CRC32C | body`, little-endian, with the
+// CRC32C (common/crc32c.h) taken over the four length bytes and then the
+// body.  The body is a WireWriter encoding of one shard mutation:
+//
+//   u8 format (0x82) | u8 op | u64 key | varint len + value   (put)
+//                                     | nothing               (erase)
+//                                     | u64 hi                (erase-range)
+//
+// The format byte is the version marker.  Logs written before it existed
+// (FNV-1a checksums, format 1) start every body with the op code, 1..3, so
+// Replay() rejects their first record on that byte alone — the same torn
+// outcome as a damaged record, never a misread one.
 //
 // Durability contract:
-//   * Append() issues the full write(2) before returning, so once a PUT
+//   * Append() issues the full writev(2) before returning, so once a PUT
 //     response leaves the node the record is in the kernel — a SIGKILL
 //     cannot lose an acknowledged write.
 //   * Sync() batches fdatasync(2) for power-loss durability; callers run
@@ -22,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -65,6 +75,12 @@ class WriteAheadLog {
 
   /// Write one framed record fully into the kernel; Internal on IO error.
   Status Append(const WalRecord& r);
+
+  /// The same record given by its fields: `hi` matters for kEraseRange
+  /// only, `value` for kPut only.  The value is checksummed and written
+  /// from the caller's buffer, not copied.
+  Status Append(WalRecord::Op op, std::uint64_t key, std::uint64_t hi,
+                std::string_view value);
 
   /// fdatasync if any append landed since the last sync (fsync batching).
   Status Sync();

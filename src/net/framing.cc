@@ -1,11 +1,14 @@
 #include "net/framing.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 #include <string>
+
+#include "net/wire.h"
 
 namespace ecc::net::framing {
 
@@ -63,11 +66,12 @@ StatusOr<Message> ReadFrame(int fd, std::size_t max_frame_bytes,
       !s.ok()) {
     return s;
   }
-  std::string wire(kFrameHeaderBytes + len, '\0');
-  std::memcpy(wire.data(), header, kFrameHeaderBytes);
+  // The payload is read once, straight into the message's own string.
+  Message m;
+  m.type = static_cast<MsgType>(header[0]);
+  ResizeUninitialized(m.payload, len);
   if (len > 0) {
-    switch (const IoResult r = ReadFull(fd, wire.data() + kFrameHeaderBytes,
-                                        len)) {
+    switch (const IoResult r = ReadFull(fd, m.payload.data(), len)) {
       case IoResult::kOk: break;
       case IoResult::kTimeout:
         if (io_fail != nullptr) *io_fail = r;
@@ -77,13 +81,41 @@ StatusOr<Message> ReadFrame(int fd, std::size_t max_frame_bytes,
         return Status::Unavailable("truncated frame");
     }
   }
-  return Message::Deserialize(wire);
+  if (Status s = VerifyFrameChecksum(header, m.payload); !s.ok()) return s;
+  return m;
 }
 
 IoResult WriteFrame(int fd, const Message& m, std::uint64_t* bytes) {
-  const std::string wire = m.Serialize();
-  if (bytes != nullptr) *bytes += wire.size();
-  return WriteFull(fd, wire.data(), wire.size());
+  // Header and payload leave in one sendmsg, without being joined first.
+  char header[kFrameHeaderBytes];
+  EncodeFrameHeader(m.type, m.payload, header);
+  if (bytes != nullptr) *bytes += m.WireSize();
+  iovec iov[2] = {{header, sizeof(header)},
+                  {const_cast<char*>(m.payload.data()), m.payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL: see WriteFull.
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return IoResult::kTimeout;
+      return IoResult::kError;
+    }
+    // Skip what went out; resume mid-iovec after a short write.
+    auto left = static_cast<std::size_t>(w);
+    while (msg.msg_iovlen > 0 && left >= msg.msg_iov->iov_len) {
+      left -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + left;
+      msg.msg_iov->iov_len -= left;
+    }
+  }
+  return IoResult::kOk;
 }
 
 }  // namespace ecc::net::framing

@@ -1,13 +1,16 @@
 // Blocking framed IO over a byte-stream descriptor, shared by the
 // socketpair transport (socket_channel.cc) and the TCP client channel
-// (tcp_channel.cc).  The frame layout is exactly Message::Serialize: a
-// 1-byte type tag + u32 little-endian payload length + payload.
+// (tcp_channel.cc).  The frame layout is exactly Message::Serialize (see
+// kFrameHeaderBytes in message.h), but neither direction builds that flat
+// string: a frame is written as header + payload in one sendmsg, and read
+// as a header, then the payload straight into the Message.
 //
 // Hardening contract:
-//   * writes go through send(MSG_NOSIGNAL) — a dead peer yields an error
-//     return, never SIGPIPE;
+//   * writes go through send/sendmsg(MSG_NOSIGNAL) — a dead peer yields an
+//     error return, never SIGPIPE;
 //   * headers are validated (known tag, bounded length) BEFORE the frame
-//     buffer is allocated;
+//     buffer is allocated, and the CRC32C is checked before a frame is
+//     returned;
 //   * EINTR is retried; EAGAIN/EWOULDBLOCK (an armed SO_RCVTIMEO/SNDTIMEO
 //     firing) is reported as kTimeout so callers can surface Unavailable.
 #pragma once

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/crc32c.h"
+
 namespace ecc::net {
 
 const char* MsgTypeName(MsgType t) {
@@ -65,39 +67,67 @@ Status ValidateFrameHeader(const char* header, std::size_t max_frame_bytes,
   return Status::Ok();
 }
 
-std::string Message::Serialize() const {
-  WireWriter w;
-  w.PutU8(static_cast<std::uint8_t>(type));
-  w.PutU32(static_cast<std::uint32_t>(payload.size()));
-  w.PutU32(FramePayloadCrc(payload));
-  std::string out = w.TakeBuffer();
+namespace {
+/// The CRC field follows the tag and the length, which it covers.
+constexpr std::size_t kFrameCrcOffset = 1 + 4;
+
+std::uint32_t FrameCrc(const char* header, std::string_view payload) {
+  return crc32c::Extend(
+      crc32c::Value(std::string_view(header, kFrameCrcOffset)), payload);
+}
+}  // namespace
+
+void EncodeFrameHeader(MsgType type, std::string_view payload, char* out) {
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  out[0] = static_cast<char>(type);
+  std::memcpy(out + 1, &len, sizeof(len));
+  const std::uint32_t crc = FrameCrc(out, payload);
+  std::memcpy(out + kFrameCrcOffset, &crc, sizeof(crc));
+}
+
+Status VerifyFrameChecksum(const char* header, std::string_view payload) {
+  std::uint32_t crc = 0;
+  std::memcpy(&crc, header + kFrameCrcOffset, sizeof(crc));
+  if (FrameCrc(header, payload) != crc) {
+    // Wire damage, not a malformed request: loss-equivalent and therefore
+    // retryable, unlike the InvalidArgument cases of Deserialize.
+    return Status::Unavailable("frame checksum mismatch");
+  }
+  return Status::Ok();
+}
+
+void Message::AppendTo(std::string& out) const {
+  char header[kFrameHeaderBytes];
+  EncodeFrameHeader(type, payload, header);
+  out.append(header, sizeof(header));
   out += payload;
+}
+
+std::string Message::Serialize() const {
+  std::string out;
+  out.reserve(WireSize());
+  AppendTo(out);
   return out;
 }
 
 StatusOr<Message> Message::Deserialize(std::string_view bytes) {
-  WireReader r(bytes);
-  std::uint8_t tag = 0;
-  std::uint32_t len = 0;
-  std::uint32_t crc = 0;
-  if (Status s = r.GetU8(tag); !s.ok()) return s;
-  if (Status s = r.GetU32(len); !s.ok()) return s;
-  if (Status s = r.GetU32(crc); !s.ok()) return s;
+  if (bytes.size() < kFrameHeaderBytes) {
+    return Status::InvalidArgument("wire underrun");
+  }
+  const auto tag = static_cast<std::uint8_t>(bytes[0]);
   if (!IsKnownMsgType(tag)) {
     return Status::InvalidArgument("unknown message type tag");
   }
-  if (r.remaining() != len) {
+  std::uint32_t len = 0;
+  std::memcpy(&len, bytes.data() + 1, sizeof(len));
+  const std::string_view payload = bytes.substr(kFrameHeaderBytes);
+  if (payload.size() != len) {
     return Status::InvalidArgument("frame length mismatch");
   }
-  Message m;
-  m.type = static_cast<MsgType>(tag);
-  m.payload = std::string(bytes.substr(bytes.size() - len));
-  if (FramePayloadCrc(m.payload) != crc) {
-    // Wire damage, not a malformed request: loss-equivalent and therefore
-    // retryable, unlike the InvalidArgument cases above.
-    return Status::Unavailable("frame checksum mismatch");
+  if (Status s = VerifyFrameChecksum(bytes.data(), payload); !s.ok()) {
+    return s;
   }
-  return m;
+  return Message{static_cast<MsgType>(tag), std::string(payload)};
 }
 
 namespace {
@@ -129,11 +159,20 @@ StatusOr<GetRequest> GetRequest::Decode(const Message& m) {
 
 // --- GetResponse ----------------------------------------------------------
 
-Message GetResponse::Encode() const {
+namespace {
+Message EncodeGetResponse(bool found, std::string_view value) {
   WireWriter w;
   w.PutU8(found ? 1 : 0);
   w.PutBytes(value);
   return Message{MsgType::kGetResponse, w.TakeBuffer()};
+}
+}  // namespace
+
+Message GetResponse::Encode() const { return EncodeGetResponse(found, value); }
+
+Message GetResponse::EncodeFrom(const std::string* stored) {
+  return stored != nullptr ? EncodeGetResponse(true, *stored)
+                           : EncodeGetResponse(false, {});
 }
 
 StatusOr<GetResponse> GetResponse::Decode(const Message& m) {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,24 +50,33 @@ enum class MsgType : std::uint8_t {
          tag <= static_cast<std::uint8_t>(MsgType::kDigestResponse);
 }
 
-/// Frame header layout shared by every byte-stream transport: 1-byte type
-/// tag + u32 little-endian payload length + u32 little-endian FNV-1a
-/// checksum of the payload.  The checksum is what turns wire corruption
-/// (a flipped bit anywhere in the payload) into a detectable, retryable
-/// transport error instead of a silently-wrong stored value: without it an
-/// acknowledged Put whose value byte was damaged in flight would read back
-/// corrupt forever.
+/// Frame layout shared by every byte-stream transport:
+///
+///   u8 type tag | u32 LE payload length | u32 LE CRC32C | payload
+///
+/// The CRC32C (common/crc32c.h) runs over the tag and length bytes and then
+/// the payload.  It is what turns wire corruption into a detectable,
+/// retryable transport error: without it an acknowledged Put whose value
+/// byte was damaged in flight would read back corrupt forever, and because
+/// it covers the header too, a flipped tag bit cannot turn an ERASE into a
+/// PUT that the node would apply.
+///
+/// The header is exactly 9 bytes and has no version field: NetworkModel
+/// charges modelled transfer time per wire byte, so a longer header would
+/// move the paper benches' virtual timings.  Peers of one build always
+/// agree on the format; a peer from a build with another checksum fails
+/// every frame's CRC and is dropped as corrupt.
 inline constexpr std::size_t kFrameHeaderBytes = 1 + 4 + 4;
 
-/// FNV-1a (32-bit) over the payload bytes — the frame checksum.
-[[nodiscard]] constexpr std::uint32_t FramePayloadCrc(std::string_view bytes) {
-  std::uint32_t h = 2166136261u;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 16777619u;
-  }
-  return h;
-}
+/// Write the header of a frame carrying `payload` into
+/// `out[0, kFrameHeaderBytes)`.
+void EncodeFrameHeader(MsgType type, std::string_view payload, char* out);
+
+/// Check a received frame: `header` is its kFrameHeaderBytes header bytes,
+/// `payload` the bytes after it.  Unavailable on a CRC mismatch — wire
+/// damage is loss-equivalent and therefore retryable.
+[[nodiscard]] Status VerifyFrameChecksum(const char* header,
+                                         std::string_view payload);
 
 /// Validate a frame header before trusting its length: unknown tags and
 /// frames above `max_frame_bytes` are rejected without allocating.  On Ok,
@@ -97,7 +107,10 @@ struct Message {
     return kFrameHeaderBytes + payload.size();
   }
 
-  /// Flatten to bytes / parse from bytes (frame = tag, u32 length, payload).
+  /// Append this frame (header, then payload) to `out`.
+  void AppendTo(std::string& out) const;
+
+  /// Flatten to bytes / parse from bytes (the frame layout above).
   [[nodiscard]] std::string Serialize() const;
   [[nodiscard]] static StatusOr<Message> Deserialize(std::string_view bytes);
 };
@@ -116,6 +129,9 @@ struct GetResponse {
   std::string value;
 
   [[nodiscard]] Message Encode() const;
+  /// The same frame, encoded straight from a stored value (nullptr = not
+  /// found) without first copying it into a GetResponse.
+  [[nodiscard]] static Message EncodeFrom(const std::string* stored);
   [[nodiscard]] static StatusOr<GetResponse> Decode(const Message& m);
 };
 

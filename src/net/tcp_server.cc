@@ -15,6 +15,7 @@
 #include <cstring>
 
 #include "common/log.h"
+#include "net/wire.h"
 
 namespace ecc::net {
 
@@ -255,17 +256,18 @@ void TcpServer::RunIoLoop(IoLoop& loop) {
 }
 
 bool TcpServer::HandleReadable(IoLoop& loop, Connection& conn) {
-  // Pull everything the kernel has for us.
-  char chunk[kReadChunk];
+  // Pull everything the kernel has for us, straight into conn.in.
   for (;;) {
-    const ssize_t r = ::read(conn.fd, chunk, sizeof(chunk));
-    if (r > 0) {
-      conn.in.append(chunk, static_cast<std::size_t>(r));
-      continue;
-    }
+    const std::size_t have = conn.in.size();
+    ResizeUninitialized(conn.in, have + kReadChunk);
+    const ssize_t r = ::read(conn.fd, conn.in.data() + have, kReadChunk);
+    const int err = errno;
+    ResizeUninitialized(conn.in,
+                        have + (r > 0 ? static_cast<std::size_t>(r) : 0));
+    if (r > 0) continue;
     if (r == 0) return false;  // peer closed
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (err == EINTR) continue;
+    if (err == EAGAIN || err == EWOULDBLOCK) break;
     return false;
   }
   // Serve every complete frame sitting in the buffer.
@@ -295,7 +297,7 @@ bool TcpServer::HandleReadable(IoLoop& loop, Connection& conn) {
     }();
     Message out = response.ok() ? std::move(*response)
                                 : EncodeErrorFrame(response.status());
-    conn.out += out.Serialize();
+    out.AppendTo(conn.out);
     frames_served_.fetch_add(1, std::memory_order_relaxed);
   }
   if (consumed > 0) conn.in.erase(0, consumed);

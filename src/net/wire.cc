@@ -2,6 +2,34 @@
 
 namespace ecc::net {
 
+#if !defined(__cpp_lib_string_resize_and_overwrite) && defined(__GLIBCXX__) && \
+    _GLIBCXX_USE_CXX11_ABI
+namespace {
+// Before C++23 the standard library offers no way to grow a string without
+// zeroing the new bytes.  libstdc++ has the primitive, the private
+// _M_set_length (set size, write the terminator); an explicit instantiation
+// may name a private member, and the friend it defines hands the pointer
+// out.
+void SetLength(std::string& s, std::size_t n);
+template <void (std::string::*kSetLength)(std::string::size_type)>
+struct SetLengthAccess {
+  friend void SetLength(std::string& s, std::size_t n) { (s.*kSetLength)(n); }
+};
+template struct SetLengthAccess<&std::string::_M_set_length>;
+}  // namespace
+#endif
+
+void ResizeUninitialized(std::string& s, std::size_t n) {
+#if defined(__cpp_lib_string_resize_and_overwrite)
+  s.resize_and_overwrite(n, [](char*, std::size_t size) { return size; });
+#elif defined(__GLIBCXX__) && _GLIBCXX_USE_CXX11_ABI
+  if (n > s.capacity()) s.reserve(n);
+  SetLength(s, n);
+#else
+  s.resize(n);
+#endif
+}
+
 Status WireReader::GetFixed(void* p, std::size_t n) {
   if (remaining() < n) return Status::InvalidArgument("wire underrun");
   std::memcpy(p, data_.data() + pos_, n);

@@ -52,6 +52,12 @@ class WireWriter {
 static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
               "wire format assumes a little-endian host");
 
+/// Resize `s` to `n` bytes without writing the bytes it gains: the caller
+/// must overwrite [old size, n) before reading them.  `resize` would zero
+/// them first, a whole extra pass over every received payload.  Shrinking
+/// behaves like `resize`.
+void ResizeUninitialized(std::string& s, std::size_t n);
+
 class WireReader {
  public:
   explicit WireReader(std::string_view data) : data_(data) {}

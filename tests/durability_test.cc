@@ -2,8 +2,9 @@
 // replay (truncation at every byte offset of the final record, bit flips
 // in the body), atomic snapshot write/load, NodeDurability recovery across
 // a simulated restart (snapshot + WAL, compaction, the
-// crash-between-snapshot-and-reset window), and FleetDurability's
-// retired-state salvage used by the recovery manager.
+// crash-between-snapshot-and-reset window), the refusal of files in the
+// retired FNV-1a format, and FleetDurability's retired-state salvage used
+// by the recovery manager.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "durability/durability.h"
 #include "durability/snapshot.h"
 #include "durability/wal.h"
+#include "net/wire.h"
 
 namespace ecc::durability {
 namespace {
@@ -383,6 +386,99 @@ TEST(NodeDurabilityTest, AttachRefusesNonEmptyNode) {
   ASSERT_TRUE(node.Insert(1, Val(1)).ok());
   NodeDurability nd(FreshDir("nd_nonempty"), NoFsync());
   EXPECT_EQ(nd.Attach(&node).code(), StatusCode::kFailedPrecondition);
+}
+
+// --- Format 1 files (FNV-1a era) ------------------------------------------
+
+/// The checksum of format 1 WAL records and snapshots, kept here only to
+/// write such files.
+std::uint32_t Fnv1a(std::string_view bytes) {
+  std::uint32_t h = 2166136261u;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 16777619u;
+  }
+  return h;
+}
+
+/// A format 1 put record: u32 body length | u32 FNV-1a of the body | body,
+/// where the body is u8 op | u64 key | varint length + value.
+std::string FormatOnePut(std::uint64_t k) {
+  net::WireWriter body;
+  body.PutU8(static_cast<std::uint8_t>(WalRecord::Op::kPut));
+  body.PutU64(k);
+  body.PutBytes(Val(k));
+  net::WireWriter rec;
+  rec.PutU32(static_cast<std::uint32_t>(body.size()));
+  rec.PutU32(Fnv1a(body.buffer()));
+  return rec.TakeBuffer() + body.buffer();
+}
+
+/// A format 1 snapshot: u32 magic "SSCE" | u32 length | u32 FNV-1a of the
+/// payload | payload.
+std::string FormatOneSnapshot(const std::string& payload) {
+  net::WireWriter w;
+  w.PutU32(0x45435353);
+  w.PutU32(static_cast<std::uint32_t>(payload.size()));
+  w.PutU32(Fnv1a(payload));
+  return w.TakeBuffer() + payload;
+}
+
+// Files written before the CRC32C formats must be refused the way damaged
+// ones are — never misread: the snapshot is rejected, the WAL replays
+// nothing and is cut back to its (empty) valid prefix, and a node attached
+// to such a directory starts empty, saying why.
+TEST(FormatVersionTest, FormatOneFilesAreRefusedNotMisread) {
+  const std::string old_wal =
+      FormatOnePut(1) + FormatOnePut(2) + FormatOnePut(3);
+
+  const std::string replay_dir = FreshDir("v1_replay");
+  const std::string path = replay_dir + "/wal.ecc";
+  WriteFile(path, old_wal);
+  Applied got;
+  auto stats = ReplayInto(path, &got);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->records, 0u);
+  EXPECT_TRUE(stats->torn);
+  EXPECT_EQ(stats->bytes_kept, 0u);
+  EXPECT_EQ(stats->bytes_truncated, old_wal.size());
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(FileSize(path), 0u);
+
+  const std::string dir = FreshDir("v1_attach");
+  core::CacheNode donor(6, 0, 1u << 20);
+  for (std::uint64_t k = 10; k < 14; ++k) {
+    ASSERT_TRUE(donor.Insert(k, Val(k)).ok());
+  }
+  WriteFile(dir + "/" + kSnapshotFileName,
+            FormatOneSnapshot(donor.SerializeShard()));
+  WriteFile(dir + "/wal.ecc", old_wal);
+  EXPECT_EQ(LoadSnapshotFile(dir).status().code(),
+            StatusCode::kInvalidArgument);
+
+  core::CacheNode node(6, 0, 1u << 20);
+  NodeDurability nd(dir, NoFsync());
+  ::testing::internal::CaptureStderr();
+  const Status attached = nd.Attach(&node);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(attached.ok()) << attached.message();
+  EXPECT_NE(log.find("[W] durability: " + dir), std::string::npos) << log;
+  EXPECT_NE(log.find("recovering from WAL only"), std::string::npos) << log;
+  EXPECT_EQ(nd.recover_stats().snapshot_records, 0u);
+  EXPECT_EQ(nd.recover_stats().wal_records, 0u);
+  EXPECT_TRUE(nd.recover_stats().torn);
+  EXPECT_EQ(node.record_count(), 0u);
+  EXPECT_EQ(FileSize(dir + "/wal.ecc"), 0u);
+
+  // The node logs in the current format from the clean start.
+  ASSERT_TRUE(node.Insert(20, Val(20)).ok());
+  nd.Detach();
+  core::CacheNode revived(6, 0, 1u << 20);
+  NodeDurability again(dir, NoFsync());
+  ASSERT_TRUE(again.Attach(&revived).ok());
+  EXPECT_EQ(again.recover_stats().wal_records, 1u);
+  EXPECT_FALSE(again.recover_stats().torn);
+  EXPECT_TRUE(revived.Contains(20));
 }
 
 // --- FleetDurability -------------------------------------------------------

@@ -2,6 +2,7 @@
 // loopback RPC channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "common/rng.h"
@@ -89,6 +90,17 @@ TEST(WireTest, TruncatedBytesIsError) {
   WireReader r(w.buffer());
   std::string out;
   EXPECT_FALSE(r.GetBytes(out).ok());
+}
+
+TEST(WireTest, ResizeUninitializedKeepsPrefixAndSize) {
+  std::string s = "prefix";
+  ResizeUninitialized(s, 100000);  // grows past the small-string buffer
+  ASSERT_EQ(s.size(), 100000u);
+  EXPECT_EQ(s.substr(0, 6), "prefix");
+  EXPECT_EQ(s.c_str()[s.size()], '\0');
+  std::fill(s.begin() + 6, s.end(), 'x');
+  ResizeUninitialized(s, 8);  // shrinks like resize
+  EXPECT_EQ(s, "prefixxx");
 }
 
 // --- message framing --------------------------------------------------------
