@@ -1,11 +1,11 @@
 // Front-tier hot-key cache micro-bench: ablation of the coordinator-local
 // front cache (DESIGN.md §12) under skewed workloads.
 //
-// Phase A (zipf ablation): a warm zipf(s) stream is driven through the
-// ParallelCoordinator at 1/2/4/8 workers, front tier off vs on.  Every
-// query is a backend hit either way; what the front tier removes is the
-// per-query backend probe (lookup_cost virtual time + the owning node's
-// stripe mutex) for the heavy hitters each worker's tracker promotes.
+// Phase A (zipf ablation): a warm zipf(s) stream is driven through a
+// Coordinator at 1/2/4/8 workers, front tier off vs on.  Every query is a
+// backend hit either way; what the front tier removes is the per-query
+// backend probe (kLookupCost virtual time + the owning node's stripe
+// mutex) for the heavy hitters each worker's tracker promotes.
 // Throughput is queries per virtual makespan second.  Shape checks gate on
 // (a) front-on beating front-off at every worker count and (b) front-on
 // throughput still scaling with workers — the per-worker caches share no
@@ -15,8 +15,9 @@
 // set sized to fit the front cache: the steady-state front hit rate must
 // approach the hot probability.
 //
-// Phase C (sequential coordinator): the same hotspot stream through the
-// single-threaded Coordinator, front off vs on, comparing total query time.
+// Phase C (sequential coordinator): the same hotspot stream through a
+// Coordinator on the shared clock, front off vs on, comparing total query
+// time.
 //
 // Overrides: workers_max=8 stream=8192 zipf_s=1.2 hot=64 hot_prob=0.9
 //            front_capacity=64 tracker=128 admit=4 value_bytes=1000 seed=0x90
@@ -27,7 +28,7 @@
 
 #include "common/log.h"
 #include "common/table.h"
-#include "core/parallel_coordinator.h"
+#include "core/coordinator.h"
 #include "core/striped_backend.h"
 #include "figcommon.h"
 #include "workload/generator.h"
@@ -42,7 +43,7 @@ struct FrontStack {
   std::unique_ptr<core::StripedBackend> striped;
   std::unique_ptr<service::Service> service;
   std::unique_ptr<sfc::Linearizer> linearizer;
-  std::unique_ptr<core::ParallelCoordinator> coordinator;
+  std::unique_ptr<core::Coordinator> coordinator;
 };
 
 constexpr std::uint64_t kKeyspace = 1u << 12;  // one node holds it all warm
@@ -83,10 +84,10 @@ FrontStack BuildFrontStack(const Config& cfg, std::size_t workers,
       value_bytes);
   s.linearizer = std::make_unique<sfc::Linearizer>(GridFor(kKeyspace));
 
-  core::ParallelCoordinatorOptions popts;
+  core::CoordinatorOptions popts;
   popts.workers = workers;
   popts.front = FrontOptions(cfg, front_on);
-  s.coordinator = std::make_unique<core::ParallelCoordinator>(
+  s.coordinator = std::make_unique<core::Coordinator>(
       popts, s.striped.get(), s.service.get(), s.linearizer.get());
 
   // Warm every key the streams can draw, so the ablation measures the pure
@@ -135,9 +136,9 @@ int Main(int argc, char** argv) {
   bool counts_ok = true;
   for (std::size_t w : sweep) {
     FrontStack off = BuildFrontStack(cfg, w, /*front_on=*/false);
-    const core::ParallelBatchReport ro = off.coordinator->RunKeys(zstream);
+    const core::BatchReport ro = off.coordinator->RunKeys(zstream);
     FrontStack on = BuildFrontStack(cfg, w, /*front_on=*/true);
-    const core::ParallelBatchReport rn = on.coordinator->RunKeys(zstream);
+    const core::BatchReport rn = on.coordinator->RunKeys(zstream);
     const double qps_off = ro.QueriesPerSecond();
     const double qps_on = rn.QueriesPerSecond();
     if (w == 1) on1 = qps_on;
@@ -165,7 +166,7 @@ int Main(int argc, char** argv) {
       hot_prob, seed ^ 0x407u);
   const std::vector<core::Key> hstream = MakeStream(hotspot, stream_len);
   FrontStack hs = BuildFrontStack(cfg, workers_max, /*front_on=*/true);
-  const core::ParallelBatchReport hr = hs.coordinator->RunKeys(hstream);
+  const core::BatchReport hr = hs.coordinator->RunKeys(hstream);
   const double front_rate =
       hr.queries > 0 ? static_cast<double>(hs.coordinator->front_hits()) /
                            static_cast<double>(hr.queries)

@@ -1,5 +1,5 @@
-// Parallel front-end micro-bench: aggregate query throughput of the
-// ParallelCoordinator over a striped elastic cache, swept over worker
+// Parallel front-end micro-bench: aggregate query throughput of an
+// N-worker Coordinator over a striped elastic cache, swept over worker
 // counts, plus a cold-start phase showing single-flight miss coalescing.
 //
 // Phase A (hit-heavy scaling): a warm working set is queried by 1/2/4/8
@@ -21,7 +21,7 @@
 
 #include "common/log.h"
 #include "common/table.h"
-#include "core/parallel_coordinator.h"
+#include "core/coordinator.h"
 #include "core/striped_backend.h"
 #include "figcommon.h"
 
@@ -35,7 +35,7 @@ struct ParallelStack {
   std::unique_ptr<core::StripedBackend> striped;
   std::unique_ptr<service::Service> service;
   std::unique_ptr<sfc::Linearizer> linearizer;
-  std::unique_ptr<core::ParallelCoordinator> coordinator;
+  std::unique_ptr<core::Coordinator> coordinator;
 };
 
 ParallelStack BuildParallelStack(const Config& cfg, std::size_t workers) {
@@ -63,9 +63,9 @@ ParallelStack BuildParallelStack(const Config& cfg, std::size_t workers) {
       value_bytes);
   s.linearizer = std::make_unique<sfc::Linearizer>(GridFor(keyspace));
 
-  core::ParallelCoordinatorOptions popts;
+  core::CoordinatorOptions popts;
   popts.workers = workers;
-  s.coordinator = std::make_unique<core::ParallelCoordinator>(
+  s.coordinator = std::make_unique<core::Coordinator>(
       popts, s.striped.get(), s.service.get(), s.linearizer.get());
   return s;
 }
@@ -75,7 +75,7 @@ int Main(int argc, char** argv) {
   const Config cfg = ParseArgs(argc, argv);
   PrintHeader(
       "Parallel front-end — throughput scaling and miss coalescing",
-      "N-worker ParallelCoordinator over a striped elastic cache; virtual "
+      "N-worker Coordinator over a striped elastic cache; virtual "
       "makespan = max per-worker busy time.");
 
   const auto workers_max =
@@ -106,7 +106,7 @@ int Main(int argc, char** argv) {
                                            cfg.GetInt("value_bytes", 1000)),
                                        'w'));
     }
-    const core::ParallelBatchReport r = s.coordinator->RunKeys(stream);
+    const core::BatchReport r = s.coordinator->RunKeys(stream);
     if (w == 1) qps1 = r.QueriesPerSecond();
     qps_last = r.QueriesPerSecond();
     all_hits &= (r.hits == stream.size());
@@ -127,7 +127,7 @@ int Main(int argc, char** argv) {
     cold_stream.push_back(static_cast<core::Key>(i % hot));
   }
   ParallelStack cold = BuildParallelStack(cfg, workers_max);
-  const core::ParallelBatchReport cr = cold.coordinator->RunKeys(cold_stream);
+  const core::BatchReport cr = cold.coordinator->RunKeys(cold_stream);
   Table coalesce({"queries", "distinct_keys", "misses", "coalesced", "hits",
                   "service_invocations", "coalesce_rate"});
   const double redundant =

@@ -31,13 +31,14 @@ gbench() { # gbench <binary>
     --benchmark_min_time=0.05 "$@"
 }
 
-# Front-tier ablation and the parallel front-end: the headline benches the
-# regression gate reads.
+# Front-tier ablation and the multi-worker coordinator: the headline
+# benches the regression gate reads.
 fig micro_fronttier
 fig micro_parallel
 
 # Figure reproductions at paper scale.
 fig fig3_speedup
+fig fig4_split_overhead
 fig fig5_window_speedup
 fig fig6_reuse_eviction
 fig fig7_decay
@@ -45,6 +46,17 @@ fig fig7_decay
 # Elasticity-policy ablation: $cost + hit rate per policy, with the
 # cost-ttl-beats-the-window shape checks the regression gate holds.
 fig ablation_policy
+
+# The other ablations: shape checks only so far (numeric metrics are
+# ROADMAP item 2), but check_bench.py fails on any failed check.
+fig ablation_async_split
+fig ablation_batch_size
+fig ablation_buckets
+fig ablation_dynamic_window
+fig ablation_replication
+fig ablation_spill_tier
+fig ablation_victim_policies
+fig ablation_warmpool
 
 # Subsystem benches.
 fig micro_overload

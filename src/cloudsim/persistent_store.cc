@@ -23,6 +23,7 @@ void PersistentStore::AccrueStorage() {
 }
 
 void PersistentStore::Put(std::uint64_t key, std::string value) {
+  const std::lock_guard<std::mutex> g(mutex_);
   AccrueStorage();
   clock_->Advance(opts_.put_latency);
   ++puts_;
@@ -38,6 +39,7 @@ void PersistentStore::Put(std::uint64_t key, std::string value) {
 }
 
 StatusOr<std::string> PersistentStore::Get(std::uint64_t key) {
+  const std::lock_guard<std::mutex> g(mutex_);
   AccrueStorage();
   clock_->Advance(opts_.get_latency);
   ++gets_;
@@ -48,6 +50,7 @@ StatusOr<std::string> PersistentStore::Get(std::uint64_t key) {
 }
 
 bool PersistentStore::Erase(std::uint64_t key) {
+  const std::lock_guard<std::mutex> g(mutex_);
   AccrueStorage();
   const auto it = objects_.find(key);
   if (it == objects_.end()) return false;
@@ -57,6 +60,7 @@ bool PersistentStore::Erase(std::uint64_t key) {
 }
 
 double PersistentStore::AccruedCostDollars() const {
+  const std::lock_guard<std::mutex> g(mutex_);
   const double live_byte_seconds =
       byte_seconds_ + static_cast<double>(used_bytes_) *
                           (clock_->now() - last_accrual_).seconds();

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -28,6 +29,8 @@ struct PersistentStoreOptions {
   double get_price_per_1k = 0.001;
 };
 
+/// Thread-safe: one internal mutex serializes every call, so coordinator
+/// workers and the backend's stale probes may share one store.
 class PersistentStore {
  public:
   /// `clock` is shared with the simulation; not owned.
@@ -44,23 +47,42 @@ class PersistentStore {
   bool Erase(std::uint64_t key);
 
   [[nodiscard]] bool Contains(std::uint64_t key) const {
+    const std::lock_guard<std::mutex> g(mutex_);
     return objects_.count(key) != 0;
   }
-  [[nodiscard]] std::size_t object_count() const { return objects_.size(); }
-  [[nodiscard]] std::uint64_t used_bytes() const { return used_bytes_; }
-  [[nodiscard]] std::uint64_t puts() const { return puts_; }
-  [[nodiscard]] std::uint64_t gets() const { return gets_; }
-  [[nodiscard]] std::uint64_t get_hits() const { return get_hits_; }
+  [[nodiscard]] std::size_t object_count() const {
+    const std::lock_guard<std::mutex> g(mutex_);
+    return objects_.size();
+  }
+  [[nodiscard]] std::uint64_t used_bytes() const {
+    const std::lock_guard<std::mutex> g(mutex_);
+    return used_bytes_;
+  }
+  [[nodiscard]] std::uint64_t puts() const {
+    const std::lock_guard<std::mutex> g(mutex_);
+    return puts_;
+  }
+  [[nodiscard]] std::uint64_t gets() const {
+    const std::lock_guard<std::mutex> g(mutex_);
+    return gets_;
+  }
+  [[nodiscard]] std::uint64_t get_hits() const {
+    const std::lock_guard<std::mutex> g(mutex_);
+    return get_hits_;
+  }
+  /// What one Get charges the store's clock.
+  [[nodiscard]] Duration get_latency() const { return opts_.get_latency; }
 
   /// Storage + request bill as of the clock's now.
   [[nodiscard]] double AccruedCostDollars() const;
 
  private:
-  /// Fold the byte-time integral forward to `now`.
+  /// Fold the byte-time integral forward to `now` (caller holds mutex_).
   void AccrueStorage();
 
   PersistentStoreOptions opts_;
   VirtualClock* clock_;
+  mutable std::mutex mutex_;  ///< guards everything below
   std::unordered_map<std::uint64_t, std::string> objects_;
   std::uint64_t used_bytes_ = 0;
   std::uint64_t puts_ = 0;

@@ -133,8 +133,7 @@ class VirtualClock;
 /// Expired()/Remaining() before committing to more work.  A deadline is
 /// always evaluated against the clock it was defined on, so it stays
 /// meaningful even when the consulting layer charges a *different* clock
-/// (the parallel front-end's per-worker clocks vs. the backend's shared
-/// clock).  A default-constructed Deadline is inactive: never expired,
+/// (a coordinator worker's private clock vs. the backend's shared clock).  A default-constructed Deadline is inactive: never expired,
 /// infinite budget.
 struct Deadline {
   const VirtualClock* clock = nullptr;  ///< clock the deadline is measured on
@@ -153,8 +152,8 @@ struct Deadline {
 /// Thread-safe: now/Advance/AdvanceTo are lock-free atomics, so a clock
 /// shared by a backend can absorb charges from concurrent workers without
 /// tearing.  Note that under concurrency the *meaning* of a shared clock
-/// changes — interleaved charges sum rather than overlap — so per-query
-/// latency accounting in the parallel front-end uses one private clock per
+/// changes — interleaved charges sum rather than overlap — so a coordinator
+/// with several workers keeps per-query latency on one private clock per
 /// worker instead (see DESIGN.md, "Concurrency model").
 class VirtualClock {
  public:

@@ -174,8 +174,7 @@ class ElasticCache final : public CacheBackend {
 
   /// Bind the coordinator's spill tier so GetStale (replicas == 1) and
   /// KillNode recoverability accounting can consult it.  Not owned;
-  /// nullptr detaches.  Callers sharing the store across threads must
-  /// serialize externally (PersistentStore is not thread-safe).
+  /// nullptr detaches.
   void AttachSpillStore(cloudsim::PersistentStore* store) override {
     spill_ = store;
   }

@@ -14,8 +14,8 @@ class MaintenanceTask {
  public:
   virtual ~MaintenanceTask() = default;
 
-  /// Run one maintenance round.  Called with the system quiesced (the
-  /// parallel front-end drains its workers first), so the task may use the
+  /// Run one maintenance round.  Called with the system quiesced (no
+  /// coordinator worker has a query in flight), so the task may use the
   /// full exclusive-topology API of the backend.
   virtual void Tick() = 0;
 };

@@ -9,8 +9,7 @@ StripedBackend::StripedBackend(ElasticCache* inner, std::size_t stripes)
     : inner_(inner), stripes_(stripes == 0 ? 1 : stripes) {
   assert(inner_ != nullptr);
   assert(inner_->options().replicas == 1 &&
-         "striped fast paths touch only the owner node; replication needs "
-         "LockedBackend");
+         "striped fast paths touch only the owner node; replicas must be 1");
 }
 
 StatusOr<std::string> StripedBackend::Get(Key k) {

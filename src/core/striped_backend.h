@@ -1,9 +1,8 @@
 // Striped thread-safe front over the elastic cache.
 //
-// LockedBackend serializes everything behind one mutex; that is correct but
-// collapses a multi-worker front-end back to the paper's sequential
-// coordinator.  StripedBackend instead splits the locking by what an
-// operation can touch:
+// One mutex around the whole cache would be correct, but it would collapse
+// a multi-worker coordinator back to the paper's sequential one.
+// StripedBackend instead splits the locking by what an operation can touch:
 //
 //   * a topology lock (shared_mutex) — held *shared* by every Get/Put fast
 //     path, and *exclusively* by anything that can change the ring, the
@@ -50,10 +49,8 @@ class StripedBackend final : public CacheBackend {
   [[nodiscard]] StatusOr<std::string> Get(Key k) override;
   [[nodiscard]] StatusOr<std::string> GetStale(Key k) override;
 
-  /// Forwarded to the inner cache under the exclusive topology lock.  Note
-  /// the store itself is unsynchronized: attach it here only when the inner
-  /// cache's spill probes (GetStale under replicas == 1, crash accounting)
-  /// are externally serialized against every other user of the store.
+  /// Forwarded to the inner cache under the exclusive topology lock (the
+  /// store locks itself, so concurrent stale probes may share it).
   void AttachSpillStore(cloudsim::PersistentStore* store) override {
     const std::unique_lock<std::shared_mutex> topo(topology_mutex_);
     inner_->AttachSpillStore(store);

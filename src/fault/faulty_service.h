@@ -3,10 +3,10 @@
 // Wraps any backing service and consults a FaultInjector before each
 // Invoke; injected failures surface as Status::Unavailable after charging
 // `failure_cost` to the caller's clock (the time burned before the failure
-// was observed).  Used to exercise the parallel front-end's single-flight
-// failure propagation: when a flight leader's service call fails, the
-// coalesced followers must inherit the failure, not re-invoke the service
-// and double-charge its latency.
+// was observed).  Used to exercise the coordinator's handling of a failed
+// call: nothing is cached, the failure is counted, and when a flight
+// leader's call fails, the coalesced followers inherit the failure — they
+// neither re-invoke the service nor double-charge its latency.
 #pragma once
 
 #include <cassert>

@@ -19,9 +19,9 @@
 //     node crash/recovery) bump the epoch, invalidating every front entry
 //     at once.  Hash collisions only ever *over*-invalidate: safe.
 //
-//   * FrontCache holds the entries.  One instance per coordinator (and per
-//     ParallelCoordinator worker thread) — strictly single-owner, never
-//     shared, which is the whole thread-safety story.
+//   * FrontCache holds the entries.  One instance per coordinator worker
+//     — strictly single-owner, never shared, which is the whole
+//     thread-safety story.
 //
 // Staleness bound — by construction, not by TTL.  The lookup protocol is:
 //
@@ -123,13 +123,13 @@ struct FrontTierOptions {
   /// Halve tracker counters at every window boundary so a stale hot set
   /// ages out.
   bool decay_per_window = true;
-  /// Virtual-clock cost of a front hit (vs. the coordinator's full
-  /// lookup_cost RPC): the front tier answers from coordinator-local
-  /// memory.
+  /// Virtual-clock cost of a front hit (vs. the full backend probe,
+  /// core::kLookupCost on a private clock): the front tier answers from
+  /// coordinator-local memory.
   Duration hit_cost = Duration::Micros(2);
-  /// Share an external hub (several coordinators over one backend, or one
-  /// hub across ParallelCoordinator workers).  nullptr = the owning
-  /// coordinator creates a private hub and attaches it to its backend.
+  /// Share an external hub (several coordinators over one backend).
+  /// nullptr = the owning coordinator creates a private hub, shared by its
+  /// workers, and attaches it to its backend.
   InvalidationHub* hub = nullptr;
 };
 

@@ -1,7 +1,7 @@
 // Observability wiring bundle.
 //
-// Components that report (ElasticCache, Coordinator, ParallelCoordinator,
-// fault injector, RPC retry layer) take one of these in their options;
+// Components that report (ElasticCache, Coordinator, fault injector, RPC
+// retry layer) take one of these in their options;
 // every pointer is optional and none is owned.  Pass {} for silence,
 // {.metrics = &EccObsDisabled()} to force a cache's internal accounting
 // into no-op handles, or wire all three for the full picture (benches do,

@@ -8,10 +8,10 @@
 // merge, and how many nodes to pre-provision — behind one interface the
 // coordinators consult at well-defined points:
 //
-//   per query (single-threaded front-end only):
+//   per query (under the coordinator's policy mutex):
 //     OnQuery(k, hit)      observation hook (reuse-distance tracking)
 //     AdmitOnMiss(k)       gate the Put of a freshly computed result
-//   per slice boundary (both front-ends, quiesced):
+//   per slice boundary (quiesced):
 //     SelectEvictions()    replace/extend the decay rule's candidate set
 //     ShouldContract()     the epsilon-merge cadence (or a cost override)
 //     PrewarmTarget()      nodes to launch into the warm pool now
@@ -25,8 +25,9 @@
 // replays seeded scenarios and asserts per-policy invariants plus
 // byte-identical decision logs across runs.
 //
-// Policies are NOT thread-safe: the parallel front-end consults one only at
-// the quiesced EndTimeStep boundary and skips the per-query hooks.
+// Policies are NOT thread-safe: a coordinator with several workers
+// serializes the per-query hooks on one mutex and consults the rest only
+// at the quiesced EndTimeStep boundary.
 #pragma once
 
 #include <cstddef>
@@ -78,9 +79,8 @@ class ElasticityPolicy {
 
   [[nodiscard]] virtual std::string Name() const = 0;
 
-  /// Per-query observation (front-tier hits included).  Only the
-  /// single-threaded coordinator calls this; the parallel front-end keeps
-  /// policies boundary-only.
+  /// Per-query observation (front-tier hits included).  A miss is reported
+  /// before its result is inserted; a coalesced follower reports a miss.
   virtual void OnQuery(Key k, bool hit, std::size_t step) {
     (void)k;
     (void)hit;

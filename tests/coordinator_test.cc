@@ -8,6 +8,8 @@
 #include "core/coordinator.h"
 #include "core/elastic_cache.h"
 #include "core/static_cache.h"
+#include "fault/fault.h"
+#include "fault/faulty_service.h"
 #include "service/service.h"
 
 namespace ecc::core {
@@ -186,6 +188,31 @@ TEST(CoordinatorTest, DynamicWindowGrowsOnTrafficSurge) {
     f.coordinator.EndTimeStep();
   }
   EXPECT_LT(f.coordinator.window().options().slices, peak);
+}
+
+// A failed service call is a miss that caches nothing and is counted; the
+// next query for the key invokes the service again.  Overload protection
+// is off, so this is the plain service path.
+TEST(CoordinatorTest, FailedServiceCallIsCountedAndNotCached) {
+  Fixture f;
+  fault::FaultPlan plan;
+  plan.service_failures = {0};
+  fault::FaultInjector injector(plan);
+  fault::FaultyService faulty(&f.service, &injector, Duration::Seconds(5));
+  Coordinator coordinator({}, &f.cache, &faulty, &f.linearizer, &f.clock);
+
+  const QueryOutcome failed = coordinator.ProcessKey(5);
+  EXPECT_FALSE(failed.hit || failed.coalesced || failed.shed || failed.stale);
+  EXPECT_EQ(coordinator.service_failures(), 1u);
+  EXPECT_EQ(coordinator.total_misses(), 1u);
+  EXPECT_EQ(f.cache.TotalRecords(), 0u);
+
+  const QueryOutcome retried = coordinator.ProcessKey(5);
+  EXPECT_FALSE(retried.hit);
+  EXPECT_EQ(f.service.invocations(), 1u);
+  EXPECT_EQ(coordinator.service_failures(), 1u);
+  EXPECT_EQ(f.cache.TotalRecords(), 1u);
+  EXPECT_TRUE(coordinator.ProcessKey(5).hit);
 }
 
 TEST(CoordinatorTest, WorksWithStaticBackendToo) {

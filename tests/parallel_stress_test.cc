@@ -15,7 +15,7 @@
 #include "cloudsim/provider.h"
 #include "common/rng.h"
 #include "core/elastic_cache.h"
-#include "core/parallel_coordinator.h"
+#include "core/coordinator.h"
 #include "core/striped_backend.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -63,7 +63,7 @@ struct Fixture {
         linearizer(Grid()),
         coordinator(
             [&] {
-              ParallelCoordinatorOptions o;
+              CoordinatorOptions o;
               o.workers = workers;
               o.window.slices = 4;
               o.window.alpha = 0.9;
@@ -90,7 +90,7 @@ struct Fixture {
   StripedBackend striped;
   service::SyntheticService service;
   sfc::Linearizer linearizer;
-  ParallelCoordinator coordinator;
+  Coordinator coordinator;
 };
 
 // Workers query a mixed hot/cold stream with a node capacity small enough
@@ -127,7 +127,7 @@ TEST(ParallelStressTest, SplitsEvictionAndContractionMidFlight) {
         const Key k = (rng.Uniform(4) != 0)
                           ? rng.Uniform(16)
                           : rng.Uniform(kKeyspace);
-        const ParallelQueryResult r = f.coordinator.ProcessKeyAs(t, k);
+        const QueryOutcome r = f.coordinator.ProcessKey(k, t);
         EXPECT_GE(r.latency, Duration::Zero());
         answered.fetch_add(1, std::memory_order_relaxed);
       }
@@ -153,9 +153,10 @@ TEST(ParallelStressTest, SplitsEvictionAndContractionMidFlight) {
   // Quiesced, the registry must agree with the front-end's own counters
   // and the trace ring must have recorded the run.
   const obs::MetricsSnapshot snap = f.metrics.Snapshot();
-  EXPECT_EQ(snap.CounterValue("pc.queries"), kThreads * kPerThread);
-  EXPECT_EQ(snap.CounterValue("pc.hits") + snap.CounterValue("pc.coalesced") +
-                snap.CounterValue("pc.misses"),
+  EXPECT_EQ(snap.CounterValue("coordinator.queries"), kThreads * kPerThread);
+  EXPECT_EQ(snap.CounterValue("coordinator.hits") +
+                snap.CounterValue("coordinator.coalesced") +
+                snap.CounterValue("coordinator.misses"),
             kThreads * kPerThread);
   EXPECT_EQ(snap.CounterValue("cache.gets"), f.striped.stats().gets);
   EXPECT_GT(f.trace.total_appended(), 0u);
@@ -177,7 +178,7 @@ TEST(ParallelStressTest, BatchesWithTimeStepsStayConsistent) {
       const Key base = static_cast<Key>(step) * 31;
       batch.push_back((base + rng.Uniform(64)) % kKeyspace);
     }
-    const ParallelBatchReport r = f.coordinator.RunKeys(batch);
+    const BatchReport r = f.coordinator.RunKeys(batch);
     EXPECT_EQ(r.queries, batch.size());
     EXPECT_EQ(r.hits + r.coalesced + r.misses, batch.size());
     EXPECT_EQ(r.service_invocations, r.misses);
@@ -227,7 +228,7 @@ TEST(ParallelStressTest, FrontTierInvalidationUnderChaos) {
         const Key k = (rng.Uniform(4) != 0)
                           ? rng.Uniform(16)
                           : rng.Uniform(kKeyspace);
-        const ParallelQueryResult r = f.coordinator.ProcessKeyAs(t, k);
+        const QueryOutcome r = f.coordinator.ProcessKey(k, t);
         EXPECT_GE(r.latency, Duration::Zero());
       }
     });
@@ -265,7 +266,7 @@ TEST(ParallelStressTest, FrontTierBatchesWithTimeSteps) {
     for (int i = 0; i < 200; ++i) {
       batch.push_back(rng.Uniform(32));  // persistent hot locus
     }
-    const ParallelBatchReport r = f.coordinator.RunKeys(batch);
+    const BatchReport r = f.coordinator.RunKeys(batch);
     EXPECT_EQ(r.hits + r.coalesced + r.misses, r.queries);
     (void)f.coordinator.EndTimeStep();
   }

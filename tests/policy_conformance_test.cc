@@ -12,10 +12,16 @@
 //     eviction guarantee,
 //
 // plus, for every scenario x policy cell, byte-identical decision logs
-// across two runs of the same seed (ECC_FAULT_SEED replays a failure).
+// across two runs of the same seed (ECC_FAULT_SEED replays a failure),
+// pinned to known digests.  Every replicas == 1 scenario also runs on eight
+// workers over a StripedBackend, where the per-query hooks must run too;
+// there the order of hook calls depends on scheduling, so replay is a
+// one-worker check.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -24,6 +30,7 @@
 #include "cloudsim/provider.h"
 #include "core/coordinator.h"
 #include "core/elastic_cache.h"
+#include "core/striped_backend.h"
 #include "fault/fault.h"
 #include "fault/faulty_service.h"
 #include "policy/admission.h"
@@ -191,12 +198,16 @@ class ConformanceProbe final : public ElasticityPolicy {
 
 struct RunResult {
   std::string decision_bytes;
+  std::uint64_t digest = 0;
   std::size_t decisions = 0;
   std::uint64_t queries = 0;
   std::uint64_t hits = 0;
+  std::uint64_t admit_denials = 0;
+  std::size_t ttl_tracked = 0;  // cost-ttl only
 };
 
-RunResult RunScenario(const Scenario& sc, const PolicyParams& base_params) {
+RunResult RunScenario(const Scenario& sc, const PolicyParams& base_params,
+                      std::size_t workers) {
   const std::uint64_t seed = fault::FaultSeedFromEnv(29);
 
   VirtualClock clock;
@@ -213,6 +224,13 @@ RunResult RunScenario(const Scenario& sc, const PolicyParams& base_params) {
   eopts.initial_nodes = sc.initial_nodes;
   eopts.replicas = sc.replicas;
   core::ElasticCache cache(eopts, &provider, &clock);
+  // More than one worker needs a thread-safe backend (replicas == 1).
+  std::unique_ptr<core::StripedBackend> striped;
+  core::CacheBackend* backend = &cache;
+  if (workers > 1) {
+    striped = std::make_unique<core::StripedBackend>(&cache);
+    backend = striped.get();
+  }
 
   service::SyntheticService synthetic("svc", Duration::Seconds(23), 100);
   fault::FaultPlan plan;
@@ -239,6 +257,7 @@ RunResult RunScenario(const Scenario& sc, const PolicyParams& base_params) {
   RecordingPolicy recording(&probe);
 
   core::CoordinatorOptions copts;
+  copts.workers = workers;
   copts.policy = &recording;
   copts.provider = &provider;
   if (sc.brownout) {
@@ -246,7 +265,9 @@ RunResult RunScenario(const Scenario& sc, const PolicyParams& base_params) {
     copts.overload.query_deadline = Duration::Seconds(60);
     copts.overload.breaker_enabled = true;
   }
-  core::Coordinator coordinator(copts, &cache, svc, &linearizer, &clock);
+  // One worker runs on the shared clock, the paper's sequential accounting.
+  core::Coordinator coordinator(copts, backend, svc, &linearizer,
+                                workers == 1 ? &clock : nullptr);
 
   // Crash scenarios get the recovery manager so re-replication runs at the
   // maintenance boundary after the kill.
@@ -275,64 +296,117 @@ RunResult RunScenario(const Scenario& sc, const PolicyParams& base_params) {
         EXPECT_TRUE(cache.KillNode(victims.front()).ok()) << sc.name;
       }
     }
-    const std::size_t rate = sc.rate(step);
-    for (std::size_t i = 0; i < rate; ++i) {
-      (void)coordinator.ProcessKey(gen->Next());
-    }
+    std::vector<core::Key> batch(sc.rate(step));
+    for (core::Key& k : batch) k = gen->Next();
+    (void)coordinator.RunKeys(batch);
     (void)coordinator.EndTimeStep();
     if (sc.brownout) injector.AdvanceServiceSlice();
   }
 
   RunResult result;
   result.decision_bytes = recording.log().bytes();
+  result.digest = recording.log().Digest();
   result.decisions = recording.log().decisions();
   result.queries = coordinator.total_queries();
   result.hits = coordinator.total_hits();
+  result.admit_denials = coordinator.admit_denials();
+  if (params.kind == PolicyKind::kCostAwareTtl) {
+    result.ttl_tracked =
+        static_cast<CostAwareTtlPolicy*>(inner.get())->tracked();
+  }
   return result;
 }
 
 // ASSERT_* inside RunScenario needs a void-returning wrapper.
 void RunScenarioInto(const Scenario& sc, const PolicyParams& params,
-                     RunResult* out) {
-  *out = RunScenario(sc, params);
+                     std::size_t workers, RunResult* out) {
+  *out = RunScenario(sc, params, workers);
 }
 
 // --- The conformance matrix -------------------------------------------------
 
-class PolicyConformanceTest
-    : public ::testing::TestWithParam<std::tuple<std::size_t, PolicyKind>> {};
+constexpr PolicyKind kKinds[] = {PolicyKind::kPaperBaseline,
+                                 PolicyKind::kCostAwareTtl,
+                                 PolicyKind::kMthAdmission,
+                                 PolicyKind::kPredictive};
+
+/// One-worker DecisionLog digests per scenario x policy (kKinds order) for
+/// the default seed.  A change that moves one changed a policy decision.
+constexpr std::uint64_t kPinnedDigests[4][4] = {
+    {0x3da61666391301eeull, 0xbb5c1d44caffe36full, 0xa87df52c55c24ee7ull,
+     0xd28684b9f743a37dull},
+    {0x2f7ba193f09b4111ull, 0x47dc1a7d374b25f4ull, 0xa06e9bd4e55099a7ull,
+     0x2f7ba193f09b4111ull},
+    {0x34fce1618e9d83e5ull, 0x067d69a2853ffa18ull, 0xdbc92ab976f7a69cull,
+     0x34fce1618e9d83e5ull},
+    {0x646061d33e9691dbull, 0xc6e36366088489e6ull, 0xb65da88ec8422c2eull,
+     0x646061d33e9691dbull},
+};
+
+struct Cell {
+  std::size_t scenario;
+  std::size_t kind;  // index into kKinds
+  std::size_t workers;
+};
+
+std::vector<Cell> Cells() {
+  std::vector<Cell> cells;
+  for (const std::size_t workers : {1, 8}) {
+    for (std::size_t s = 0; s < std::size(kScenarios); ++s) {
+      // StripedBackend serves replicas == 1 only.
+      if (workers > 1 && kScenarios[s].replicas > 1) continue;
+      for (std::size_t kind = 0; kind < std::size(kKinds); ++kind) {
+        cells.push_back({s, kind, workers});
+      }
+    }
+  }
+  return cells;
+}
+
+class PolicyConformanceTest : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(PolicyConformanceTest, InvariantsHoldAndDecisionsReplay) {
-  const Scenario& sc = kScenarios[std::get<0>(GetParam())];
+  const Cell cell = GetParam();
+  const Scenario& sc = kScenarios[cell.scenario];
   PolicyParams params;
-  params.kind = std::get<1>(GetParam());
-  SCOPED_TRACE(std::string(sc.name) + " x " + PolicyKindName(params.kind));
+  params.kind = kKinds[cell.kind];
+  SCOPED_TRACE(std::string(sc.name) + " x " + PolicyKindName(params.kind) +
+               " x " + std::to_string(cell.workers) + " workers");
 
-  RunResult first, second;
-  ASSERT_NO_FATAL_FAILURE(RunScenarioInto(sc, params, &first));
-  ASSERT_NO_FATAL_FAILURE(RunScenarioInto(sc, params, &second));
-
+  RunResult first;
+  ASSERT_NO_FATAL_FAILURE(RunScenarioInto(sc, params, cell.workers, &first));
   EXPECT_GT(first.queries, 0u);
   EXPECT_GT(first.hits, 0u);  // every scenario has reuse to serve
   EXPECT_GT(first.decisions, 0u);
+  // The per-query hooks ran at every worker count.
+  if (params.kind == PolicyKind::kMthAdmission) {
+    EXPECT_GT(first.admit_denials, 0u);
+  }
+  if (params.kind == PolicyKind::kCostAwareTtl) {
+    EXPECT_GT(first.ttl_tracked, 0u);
+  }
+  if (cell.workers > 1) return;
+
   // Determinism property: the same seed replays to byte-identical
   // decisions (set ECC_FAULT_SEED to pin a failed run).
+  RunResult second;
+  ASSERT_NO_FATAL_FAILURE(RunScenarioInto(sc, params, 1, &second));
   EXPECT_EQ(first.queries, second.queries);
   EXPECT_EQ(first.decision_bytes, second.decision_bytes);
+  if (std::getenv("ECC_FAULT_SEED") == nullptr) {
+    EXPECT_EQ(first.digest, kPinnedDigests[cell.scenario][cell.kind]);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Matrix, PolicyConformanceTest,
-    ::testing::Combine(::testing::Range(std::size_t{0},
-                                        std::size_t{4}),
-                       ::testing::Values(PolicyKind::kPaperBaseline,
-                                         PolicyKind::kCostAwareTtl,
-                                         PolicyKind::kMthAdmission,
-                                         PolicyKind::kPredictive)),
-    [](const ::testing::TestParamInfo<PolicyConformanceTest::ParamType>&
-           param) {
-      std::string name = std::string(kScenarios[std::get<0>(param.param)].name) +
-                         "_" + PolicyKindName(std::get<1>(param.param));
+    Matrix, PolicyConformanceTest, ::testing::ValuesIn(Cells()),
+    [](const ::testing::TestParamInfo<Cell>& param) {
+      std::string name = std::string(kScenarios[param.param.scenario].name) +
+                         "_" + PolicyKindName(kKinds[param.param.kind]);
+      if (param.param.workers > 1) {
+        name += "_";
+        name += std::to_string(param.param.workers) + "w";
+      }
       for (char& c : name) {
         if (c == '-') c = '_';
       }
@@ -346,7 +420,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PolicyConformanceEnvTest, EnvSelectedPolicyRunsPhasedScenario) {
   const PolicyParams params = PolicyParamsFromEnv({});
   RunResult result;
-  ASSERT_NO_FATAL_FAILURE(RunScenarioInto(kScenarios[0], params, &result));
+  ASSERT_NO_FATAL_FAILURE(
+      RunScenarioInto(kScenarios[0], params, /*workers=*/1, &result));
   EXPECT_GT(result.queries, 0u);
   EXPECT_GT(result.decisions, 0u);
 }

@@ -17,7 +17,6 @@
 #include "core/coordinator.h"
 #include "durability/durability.h"
 #include "core/elastic_cache.h"
-#include "core/parallel_coordinator.h"
 #include "core/striped_backend.h"
 #include "fault/fault.h"
 #include "obs/obs.h"
@@ -592,10 +591,10 @@ TEST(CoordinatorWiringTest, SequentialCoordinatorHealsScriptedCrash) {
   EXPECT_EQ(f.Metric("recovery.keys_unrecoverable"), 0u);
 }
 
-TEST(CoordinatorWiringTest, ParallelCoordinatorTicksMaintenanceQuiesced) {
-  // The parallel front-end drives the same MaintenanceTask hook from its
-  // quiesced EndTimeStep; with workers actually exercising the backend in
-  // between, this is the TSan witness for the wiring.
+TEST(CoordinatorWiringTest, MultiWorkerCoordinatorTicksMaintenanceQuiesced) {
+  // Four workers drive the same MaintenanceTask hook from the quiesced
+  // EndTimeStep; with workers actually exercising the backend in between,
+  // this is the TSan witness for the wiring.
   VirtualClock clock;
   cloudsim::CloudProvider provider(
       [] {
@@ -616,10 +615,9 @@ TEST(CoordinatorWiringTest, ParallelCoordinatorTicksMaintenanceQuiesced) {
   core::StripedBackend striped(&cache, /*stripes=*/8);
   service::SyntheticService service("svc", Duration::Seconds(23), 100);
   sfc::Linearizer linearizer(Grid());
-  core::ParallelCoordinatorOptions popts;
+  core::CoordinatorOptions popts;
   popts.workers = 4;
-  core::ParallelCoordinator coordinator(popts, &striped, &service,
-                                        &linearizer);
+  core::Coordinator coordinator(popts, &striped, &service, &linearizer);
   RecoveryOptions ropts = TestOptions();
   ropts.heartbeat_every = Duration::Zero();  // replicas==1: detect-only off
   RecoveryManager manager(ropts, &cache, &clock);
@@ -630,7 +628,7 @@ TEST(CoordinatorWiringTest, ParallelCoordinatorTicksMaintenanceQuiesced) {
     for (std::size_t w = 0; w < 4; ++w) {
       threads.emplace_back([&, w] {
         for (Key k = 0; k < 16; ++k) {
-          (void)coordinator.ProcessKeyAs(w, (w * 16 + k) % 128);
+          (void)coordinator.ProcessKey((w * 16 + k) % 128, w);
         }
       });
     }
