@@ -7,6 +7,7 @@
 // nodes); after step 300 nodes relax but never back to 1 (conservative,
 // churn-avoiding contraction).
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/log.h"
@@ -65,6 +66,11 @@ int Main(int argc, char** argv) {
                     FormatG(static_cast<double>(s.evictions)),
                     FormatG(static_cast<double>(s.node_removals)),
                     FormatG(s.cost_usd)});
+    const std::string m = "_m" + std::to_string(windows[i]);
+    BenchMetric("speedup_peak" + m, s.max_speedup);
+    BenchMetric("nodes_max" + m, static_cast<double>(s.max_nodes));
+    BenchMetric("nodes_final" + m, static_cast<double>(s.final_nodes));
+    BenchMetric("evictions" + m, static_cast<double>(s.evictions));
   }
   std::printf("%s\n", summary.ToString().c_str());
 

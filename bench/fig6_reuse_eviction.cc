@@ -9,6 +9,7 @@
 // node allocation keeps rising past the burst.
 #include <cstdio>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/log.h"
@@ -106,6 +107,10 @@ int Main(int argc, char** argv) {
                     FormatG(s.hits_tail), FormatG(s.evict_burst),
                     FormatG(s.evict_mid), FormatG(s.evict_late),
                     FormatG(s.last_growth), FormatG(s.nodes_max)});
+    const std::string m = "_m" + std::to_string(windows[i]);
+    BenchMetric("hits_normal" + m, s.hits_normal);
+    BenchMetric("hits_burst" + m, s.hits_burst);
+    BenchMetric("hits_tail" + m, s.hits_tail);
   }
   std::printf("%s\n", summary.ToString().c_str());
 

@@ -7,6 +7,7 @@
 // slowly, yet actual cache hits do not vary enough across alphas to change
 // speedup materially.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/log.h"
@@ -67,6 +68,8 @@ int Main(int argc, char** argv) {
                     FormatG(s.mean_nodes),
                     FormatG(static_cast<double>(s.max_nodes)),
                     FormatG(s.max_speedup), FormatG(s.cost_usd)});
+    BenchMetric("hits_total_a" + FormatG(alphas[i]),
+                static_cast<double>(s.total_hits));
   }
   std::printf("%s\n", summary.ToString().c_str());
 

@@ -11,6 +11,22 @@
 // and keys with lambda(k) < T_lambda are designated for global eviction.
 // The baseline threshold alpha^{m-1} keeps any key queried at least once
 // anywhere in the window.
+//
+// Scoring follows each key's occurrences instead of probing all m slices.
+// Completed slices carry sequence numbers.  When a slice closes, each of
+// its keys gets a link: how many slices back the key occurred before (0 =
+// not in the window).  An index maps each key to the newest completed
+// slice holding it.  Scoring an expiring key walks from that slice down
+// the links to the expiring one, so an expiry costs O(occurrences of the
+// expiring keys), whatever m is; a key whose newest occurrence is the
+// expiring slice leaves the index and scores 0.  A query costs one insert
+// into the filling slice: links are set once per slice, when it closes.
+//
+// The walk adds weight * count newest-first, with weights built by
+// repeated multiplication: the order and the operations of a
+// slice-by-slice sum, so every score is bit-identical to that sum.  In
+// particular a key queried once in the oldest in-window slice scores
+// exactly the baseline threshold.
 #pragma once
 
 #include <cstdint>
@@ -73,17 +89,40 @@ class SlidingWindow {
 
   /// Change the window length in-flight (dynamic window extension).
   /// Shrinking expires surplus old slices on the next AdvanceSlice calls;
-  /// growing simply allows the deque to lengthen.  No-op for infinite.
+  /// growing simply allows the deque to lengthen.  0 makes the window
+  /// infinite; a finite length given to an infinite window expires every
+  /// slice beyond it on the next AdvanceSlice.
   void Resize(std::size_t new_slices);
 
  private:
-  using Slice = std::unordered_map<Key, std::uint32_t>;
+  /// One key's entry in one slice.
+  struct Occurrence {
+    std::uint32_t count = 0;
+    /// Slices back to the key's previous occurrence; 0 = none.  Set when
+    /// the slice closes.
+    std::uint32_t link = 0;
+  };
+  using Slice = std::unordered_map<Key, Occurrence>;
+
+  /// Adds weight * count to `score` newest-first over the completed slices
+  /// holding `k`, from slice `seq` down the links to just above slice
+  /// `stop`, and returns the sum.
+  [[nodiscard]] double SumOccurrences(Key k, std::uint64_t seq,
+                                      std::uint64_t stop, double score) const;
 
   SlidingWindowOptions opts_;
   double threshold_;
   /// front() = the filling slice, then t_1 (newest completed) ... t_m
-  /// (oldest retained) toward back().
+  /// (oldest retained) toward back().  window_[p], p >= 1, is completed
+  /// slice number closed_ - p + 1.
   std::deque<Slice> window_;
+  /// Completed slices so far; the number of t_1.
+  std::uint64_t closed_ = 0;
+  /// Key -> number of the newest completed in-window slice holding it.
+  std::unordered_map<Key, std::uint64_t> newest_;
+  /// weight_[p] = the weight of window_[p]: 1, 1, alpha, alpha^2, ...
+  /// Covers every slice held, surplus ones after a Resize shrink included.
+  std::vector<double> weight_;
 };
 
 }  // namespace ecc::core

@@ -289,15 +289,20 @@ void ChaosProxy::AcceptPending() {
     // Buckets start full so short exchanges are not throttled spuriously.
     conn->up.drip_tokens = static_cast<double>(plan_.drip_bytes);
     conn->down.drip_tokens = conn->up.drip_tokens;
-    conn->up.throttle_tokens = static_cast<double>(plan_.throttle_bytes_per_sec);
+    conn->up.throttle_tokens =
+        static_cast<double>(plan_.throttle_bytes_per_sec);
     conn->down.throttle_tokens = conn->up.throttle_tokens;
 
     epoll_event ev{};
     ev.data.fd = client_fd;
-    ev.events = DirectionPartitioned(conn->up) ? 0 : EPOLLIN;
+    ev.events = DirectionPartitioned(conn->up)
+                    ? 0u
+                    : static_cast<std::uint32_t>(EPOLLIN);
     (void)epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, client_fd, &ev);
     ev.data.fd = upstream_fd;
-    ev.events = DirectionPartitioned(conn->down) ? 0 : EPOLLIN;
+    ev.events = DirectionPartitioned(conn->down)
+                    ? 0u
+                    : static_cast<std::uint32_t>(EPOLLIN);
     (void)epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, upstream_fd, &ev);
 
     by_fd_[client_fd] = conn.get();
@@ -633,7 +638,7 @@ void ChaosProxy::SetReadInterest(Leg& leg, bool enabled) {
   if (!leg.src_open) return;
   epoll_event ev{};
   ev.data.fd = leg.src;
-  ev.events = enabled ? EPOLLIN : 0;
+  ev.events = enabled ? static_cast<std::uint32_t>(EPOLLIN) : 0u;
   (void)epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, leg.src, &ev);
 }
 

@@ -484,8 +484,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllTransports, RetryOverTransportTest,
     ::testing::Values(TransportKind::kLoopback, TransportKind::kSocketpair,
                       TransportKind::kTcp),
-    [](const ::testing::TestParamInfo<TransportKind>& info) {
-      return TransportName(info.param);
+    [](const ::testing::TestParamInfo<TransportKind>& param) {
+      return TransportName(param.param);
     });
 
 }  // namespace

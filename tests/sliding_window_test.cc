@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
-#include <vector>
 #include <cmath>
+#include <deque>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/sliding_window.h"
@@ -200,7 +203,7 @@ TEST(SlidingWindowTest, ScoredCountsDistinctKeysOfExpiredSlice) {
   EXPECT_EQ(e.scored, 2u);  // {1, 2}, multiplicity ignored
 }
 
-// --- Parameterized guarantees across (m, alpha) -------------------------------
+// --- Parameterized guarantees across (m, alpha) ------------------------------
 
 struct WindowParams {
   std::size_t m;
@@ -262,6 +265,172 @@ INSTANTIATE_TEST_SUITE_P(
       return "m" + std::to_string(param_info.param.m) + "_a" +
              std::to_string(
                  static_cast<int>(param_info.param.alpha * 100));
+    });
+
+// --- Indexed scorer vs the probe-every-slice reference -----------------------
+
+// The reference scorer: it rescores each expiring key by looking it up in
+// every slice held.  The indexed SlidingWindow must match it bit for bit.
+class ProbeWindow {
+ public:
+  explicit ProbeWindow(SlidingWindowOptions opts) : opts_(opts) {
+    if (opts_.threshold >= 0.0) {
+      threshold_ = opts_.threshold;
+    } else if (opts_.slices > 0) {
+      threshold_ = Baseline();
+    }
+    window_.emplace_front();
+  }
+
+  [[nodiscard]] double EffectiveThreshold() const { return threshold_; }
+  void RecordQuery(Key k) { ++window_.front()[k]; }
+
+  SliceExpiry AdvanceSlice() {
+    SliceExpiry result;
+    window_.emplace_front();
+    if (opts_.slices == 0) return result;
+    while (window_.size() > opts_.slices + 1) {
+      Slice expired = std::move(window_.back());
+      window_.pop_back();
+      ++result.expired_slices;
+      for (const auto& [k, count] : expired) {
+        ++result.scored;
+        if (Lambda(k) < threshold_) result.evicted.push_back(k);
+      }
+    }
+    return result;
+  }
+
+  [[nodiscard]] double Lambda(Key k) const {
+    double score = 0.0;
+    double weight = 1.0;
+    bool filling = true;
+    for (const Slice& slice : window_) {
+      const auto it = slice.find(k);
+      if (it != slice.end()) score += weight * it->second;
+      if (filling) {
+        filling = false;
+      } else {
+        weight *= opts_.alpha;
+      }
+    }
+    return score;
+  }
+
+  [[nodiscard]] std::uint32_t CountInSlice(Key k, std::size_t i) const {
+    if (i > window_.size()) return 0;
+    const auto it = window_[i - 1].find(k);
+    return it == window_[i - 1].end() ? 0 : it->second;
+  }
+
+  [[nodiscard]] std::size_t ActiveSlices() const { return window_.size(); }
+
+  [[nodiscard]] std::size_t DistinctKeys() const {
+    std::unordered_set<Key> keys;
+    for (const Slice& slice : window_) {
+      for (const auto& [k, count] : slice) keys.insert(k);
+    }
+    return keys.size();
+  }
+
+  void Resize(std::size_t new_slices) {
+    opts_.slices = new_slices;
+    if (opts_.slices > 0 && opts_.threshold < 0.0) threshold_ = Baseline();
+  }
+
+ private:
+  using Slice = std::unordered_map<Key, std::uint32_t>;
+
+  [[nodiscard]] double Baseline() const {
+    double t = 1.0;
+    for (std::size_t i = 1; i < opts_.slices; ++i) t *= opts_.alpha;
+    return t;
+  }
+
+  SlidingWindowOptions opts_;
+  double threshold_ = 0.0;
+  std::deque<Slice> window_;
+};
+
+struct ReferenceParams {
+  std::size_t m;  // 0 = infinite
+  double alpha;
+  double threshold;  // negative = baseline
+};
+
+class IndexedMatchesProbe : public ::testing::TestWithParam<ReferenceParams> {};
+
+TEST_P(IndexedMatchesProbe, BitForBitUnderRandomTrafficAndResizes) {
+  const ReferenceParams p = GetParam();
+  const SlidingWindowOptions opts = Window(p.m, p.alpha, p.threshold);
+  SlidingWindow w(opts);
+  ProbeWindow ref(opts);
+  Rng rng(900 + p.m * 7 + static_cast<std::uint64_t>(p.alpha * 100) +
+          (p.threshold < 0.0 ? 0 : 1));
+  constexpr Key kKeys = 40;  // small, so keys recur across slices
+  // Grow, shrink (draining several slices in one advance), then restore.
+  const std::size_t grow = 3 * p.m + 2;
+  const std::size_t shrink = std::max<std::size_t>(1, p.m / 2);
+  std::unordered_set<Key> seen;
+  for (int step = 1; step <= 400; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    if (step == 80) {
+      w.Resize(grow);
+      ref.Resize(grow);
+    } else if (step == 200) {
+      w.Resize(shrink);
+      ref.Resize(shrink);
+    } else if (step == 300) {
+      w.Resize(p.m);
+      ref.Resize(p.m);
+    }
+    ASSERT_EQ(w.EffectiveThreshold(), ref.EffectiveThreshold());
+    // Some slices stay empty; the rest take up to 30 queries.
+    const std::size_t queries = rng.Uniform(4) == 0 ? 0 : rng.Uniform(31);
+    for (std::size_t q = 0; q < queries; ++q) {
+      const Key k = rng.Uniform(kKeys);
+      w.RecordQuery(k);
+      ref.RecordQuery(k);
+      seen.insert(k);
+    }
+    // The filling slice counts toward Lambda() before the advance too.
+    for (Key k : seen) ASSERT_EQ(w.Lambda(k), ref.Lambda(k)) << "key " << k;
+
+    const SliceExpiry got = w.AdvanceSlice();
+    const SliceExpiry want = ref.AdvanceSlice();
+    EXPECT_EQ(got.evicted, want.evicted);
+    EXPECT_EQ(got.scored, want.scored);
+    EXPECT_EQ(got.expired_slices, want.expired_slices);
+    EXPECT_EQ(w.DistinctKeys(), ref.DistinctKeys());
+    ASSERT_EQ(w.ActiveSlices(), ref.ActiveSlices());
+    for (Key k : seen) {
+      EXPECT_EQ(w.Lambda(k), ref.Lambda(k)) << "key " << k;
+      for (std::size_t i = 1; i <= ref.ActiveSlices() + 1; ++i) {
+        EXPECT_EQ(w.CountInSlice(k, i), ref.CountInSlice(k, i))
+            << "key " << k << " slice " << i;
+      }
+    }
+    if (HasFailure()) return;  // one step's report is enough
+  }
+}
+
+std::vector<ReferenceParams> ReferenceSweep() {
+  std::vector<ReferenceParams> all;
+  for (std::size_t m : {0, 1, 2, 5, 100}) {
+    for (double alpha : {0.5, 0.99}) {
+      for (double threshold : {-1.0, 1.5}) all.push_back({m, alpha, threshold});
+    }
+  }
+  return all;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, IndexedMatchesProbe, ::testing::ValuesIn(ReferenceSweep()),
+    [](const ::testing::TestParamInfo<ReferenceParams>& param_info) {
+      const ReferenceParams& q = param_info.param;
+      return "m" + std::to_string(q.m) + "_a" +
+             std::to_string(static_cast<int>(q.alpha * 100)) +
+             (q.threshold < 0.0 ? "_baseline" : "_explicit");
     });
 
 }  // namespace
