@@ -109,6 +109,9 @@ int Main(int argc, char** argv) {
                    std::to_string(idle.records), std::to_string(idle.splits),
                    std::to_string(idle.retries)});
   std::printf("%s\n", overhead.ToString().c_str());
+  BenchMetric("virtual_s", off.clock_us / 1e6);
+  BenchMetric("records", static_cast<double>(off.records));
+  BenchMetric("splits", static_cast<double>(off.splits));
 
   // ---- Phase B: fault-probability sweep ---------------------------------
   Table sweep({"fault_p", "retries", "exhausted", "degraded", "mig_aborts",
@@ -125,6 +128,8 @@ int Main(int argc, char** argv) {
                               ? static_cast<double>(r.clock_us) /
                                     static_cast<double>(off.clock_us)
                               : 0.0)});
+    BenchMetric("retries_p" + FormatG(p), static_cast<double>(r.retries));
+    BenchMetric("records_p" + FormatG(p), static_cast<double>(r.records));
     worst = r;
   }
   std::printf("%s\n", sweep.ToString().c_str());

@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "net/message.h"
 #include "net/rpc.h"
-#include "net/socket_channel.h"
 
 namespace {
 
@@ -87,28 +86,6 @@ void BM_LoopbackCall(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LoopbackCall);
-
-void BM_SocketCall(benchmark::State& state) {
-  // The same round trip as BM_LoopbackCall but through a real kernel
-  // socketpair — the wall-clock floor per cache op, next to the simulated
-  // number for direct comparison.  (micro_tcp benches the epoll TCP path.)
-  net::RpcServer server;
-  server.Handle(net::MsgType::kGetRequest,
-                [](const net::Message&) -> ecc::StatusOr<net::Message> {
-                  net::GetResponse resp;
-                  resp.found = true;
-                  resp.value = std::string(1000, 'v');
-                  return resp.Encode();
-                });
-  net::SocketTransport transport(&server);
-  const net::Message req = net::GetRequest{7}.Encode();
-  for (auto _ : state) {
-    auto out = transport.Call(req);
-    if (!out.ok()) state.SkipWithError("call failed");
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_SocketCall);
 
 }  // namespace
 

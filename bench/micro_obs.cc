@@ -150,6 +150,11 @@ int Main(int argc, char** argv) {
                   FormatG(r->get_ns_per_op)});
   }
   std::printf("%s\n", table.ToString().c_str());
+  BenchMetric("virtual_s", def.clock_us / 1e6);
+  BenchMetric("records", static_cast<double>(def.records));
+  BenchMetric("splits", static_cast<double>(def.splits));
+  BenchMetric("stats_gets", static_cast<double>(def.stats_gets));
+  BenchMetric("trace_events", static_cast<double>(full.trace_events));
 
   bool ok = true;
   ok &= ShapeCheck(

@@ -172,6 +172,8 @@ int Main(int argc, char** argv) {
                    std::to_string(idle.shed),
                    FormatG(idle.wall_ns_per_query)});
   std::printf("%s\n", overhead.ToString().c_str());
+  BenchMetric("virtual_s_off", off.clock_us / 1e6);
+  BenchMetric("hits_off", static_cast<double>(off.hits));
 
   // ---- Phase B: brownout, unprotected vs protected ----------------------
   const RunResult raw = RunWorkload(cfg, Mode::kUnprotected);
@@ -187,6 +189,15 @@ int Main(int argc, char** argv) {
                 std::to_string(guarded.deadline_exceeded),
                 FormatG(guarded.max_latency_us / 1e6)});
   std::printf("%s\n", storm.ToString().c_str());
+  BenchMetric("virtual_s_unprotected", raw.clock_us / 1e6);
+  BenchMetric("hits_unprotected", static_cast<double>(raw.hits));
+  BenchMetric("max_latency_s_unprotected", raw.max_latency_us / 1e6);
+  BenchMetric("virtual_s_protected", guarded.clock_us / 1e6);
+  BenchMetric("hits_protected", static_cast<double>(guarded.hits));
+  BenchMetric("shed_protected", static_cast<double>(guarded.shed));
+  BenchMetric("deadline_exceeded_protected",
+              static_cast<double>(guarded.deadline_exceeded));
+  BenchMetric("max_latency_s_protected", guarded.max_latency_us / 1e6);
 
   const double deadline_s =
       static_cast<double>(cfg.GetInt("deadline_ms", 2000)) / 1e3;

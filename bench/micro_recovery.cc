@@ -206,6 +206,10 @@ int Main(int argc, char** argv) {
                    std::to_string(idle.scrub_passes),
                    FormatG(idle.wall_ns_per_query)});
   std::printf("%s\n", overhead.ToString().c_str());
+  BenchMetric("virtual_s_off", off.clock_us / 1e6);
+  BenchMetric("hits_off", static_cast<double>(off.hits));
+  BenchMetric("heartbeats_idle", static_cast<double>(idle.heartbeats));
+  BenchMetric("scrubs_idle", static_cast<double>(idle.scrub_passes));
 
   // ---- Phase B: the double crash ----------------------------------------
   const CrashResult bare = RunDoubleCrash(cfg, /*with_recovery=*/false);
@@ -222,6 +226,8 @@ int Main(int argc, char** argv) {
                 std::to_string(healed.rereplicated),
                 std::to_string(healed.divergent_after)});
   std::printf("%s\n", crash.ToString().c_str());
+  BenchMetric("rereplicated_with_recovery",
+              static_cast<double>(healed.rereplicated));
 
   bool ok = true;
   ok &= ShapeCheck("no-maintenance run is virtually identical to idle",

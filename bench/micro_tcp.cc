@@ -1,8 +1,8 @@
-// Wall-clock micro-benchmarks for the real transports: full kernel round
-// trips over the blocking socketpair transport and the epoll TCP stack
-// (TcpServer + pooled TcpChannel).  Where micro_net measures the simulated
-// loopback (pure dispatch cost), these numbers are real syscall latency —
-// the floor a deployed fleet pays per cache operation.
+// Wall-clock micro-benchmarks for the real transport: full kernel round
+// trips over the epoll TCP stack (TcpServer + pooled TcpChannel).  Where
+// micro_net measures the simulated loopback (pure dispatch cost), these
+// numbers are real syscall latency — the floor a deployed fleet pays per
+// cache operation.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,7 +10,6 @@
 
 #include "net/message.h"
 #include "net/rpc.h"
-#include "net/socket_channel.h"
 #include "net/tcp_channel.h"
 #include "net/tcp_server.h"
 
@@ -55,19 +54,6 @@ TcpRig& SharedTcp() {
   }();
   return rig;
 }
-
-void BM_SocketpairCall(benchmark::State& state) {
-  net::SocketTransport transport(&SharedRpc());
-  const net::Message req =
-      net::GetRequest{static_cast<std::uint64_t>(state.range(0))}.Encode();
-  for (auto _ : state) {
-    auto out = transport.Call(req);
-    if (!out.ok()) state.SkipWithError("call failed");
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SocketpairCall)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_TcpCall(benchmark::State& state) {
   TcpRig& rig = SharedTcp();

@@ -127,7 +127,7 @@ struct Options {
   obs::TraceLog trace{1 << 12};
   std::unique_ptr<durability::NodeDurability> durable;
   if (!opts.durability_dir.empty()) {
-    durability::DurabilityOptions dopts = durability::DurabilityOptionsFromEnv();
+    durability::DurabilityOptions dopts;
     dopts.obs.trace = &trace;
     const auto t0 = std::chrono::steady_clock::now();
     dopts.now = [t0] {

@@ -9,7 +9,8 @@ runners are noisy and heterogeneous — so only gross regressions fail:
       - any failed shape check in the current run fails the gate;
       - throughput-like metrics (qps/speedup/rate-per-second) may not drop
         below baseline / FACTOR;
-      - time-like metrics (*_time*, *_s, *_us, *_ns) may not exceed
+      - time- and cost-like metrics (a `_`-separated name segment of
+        time, ns, us, ms, s, usd, latency or makespan) may not exceed
         baseline * FACTOR;
       - bounded rates in [0, 1] (hit rates) may not drop more than
         RATE_SLACK absolute.
@@ -41,10 +42,15 @@ def is_rate(name: str, base: float, cur: float) -> bool:
         "rate" in name or "ratio" in name or "fraction" in name)
 
 
+# Name segments (split on `_`) that mark a lower-is-better metric.  Whole
+# segments, because a substring `_s` would also match `_speedup`.
+LOWER_IS_BETTER_SEGMENTS = frozenset(
+    ("time", "ns", "us", "ms", "s", "usd", "latency", "makespan"))
+
+
 def lower_is_better(name: str) -> bool:
-    n = name.lower()
-    return any(tok in n for tok in ("time", "_ns", "_us", "_ms", "_s",
-                                    "latency", "makespan"))
+    return any(seg in LOWER_IS_BETTER_SEGMENTS
+               for seg in name.lower().split("_"))
 
 
 def check_custom(name: str, base: dict, cur: dict, errors: list[str]) -> int:

@@ -183,7 +183,7 @@ def validate(path):
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
-            if not line or line.startswith("#"):  # DumpTrace footer comment
+            if not line or line.startswith("#"):  # comment line
                 continue
             check_line(path, lineno, line)
             events += 1

@@ -117,16 +117,6 @@ std::string DumpMetrics(const obs::MetricsSnapshot& snapshot) {
   return out;
 }
 
-std::string DumpTrace(const obs::TraceLog& trace) {
-  std::string out = trace.ToJsonLines();
-  if (trace.dropped() > 0) {
-    out += "# dropped=";
-    out += std::to_string(trace.dropped());
-    out += '\n';
-  }
-  return out;
-}
-
 double FleetFillCv(const ElasticCache& cache) {
   const auto snapshot = cache.Snapshot();
   if (snapshot.size() < 2) return 0.0;

@@ -9,7 +9,6 @@
 
 #include "core/elastic_cache.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace ecc::core {
 
@@ -34,9 +33,5 @@ namespace ecc::core {
 /// a one-line summary per histogram.  Render a snapshot, not a registry,
 /// so the dump is a consistent point in time.
 [[nodiscard]] std::string DumpMetrics(const obs::MetricsSnapshot& snapshot);
-
-/// The trace ring as JSON lines (one event per line), oldest first, with a
-/// trailing `# dropped=N` comment line when the ring overwrote events.
-[[nodiscard]] std::string DumpTrace(const obs::TraceLog& trace);
 
 }  // namespace ecc::core

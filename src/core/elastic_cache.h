@@ -88,9 +88,10 @@ struct ElasticCacheOptions {
   /// Transport factory: how the coordinator reaches a node it allocated.
   /// Called twice per node — once with the query clock (foreground), once
   /// with `clock == nullptr` (charge-free background migrations) — and may
-  /// return any net::Channel (a SocketTransport puts every node behind a
-  /// real kernel boundary; see DESIGN.md §14).  nullptr = the default
-  /// LoopbackChannel under the cache's NetworkModel.
+  /// return any net::Channel (a TcpChannel to a TcpServer in front of the
+  /// node's RpcServer puts it behind a real kernel boundary; see DESIGN.md
+  /// §14).  nullptr = the default LoopbackChannel under the cache's
+  /// NetworkModel.
   std::function<std::unique_ptr<net::Channel>(
       NodeId id, net::RpcServer* rpc, VirtualClock* clock)>
       channel_factory;

@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -13,11 +12,6 @@
 namespace ecc::durability {
 
 namespace {
-
-const char* Env(const char* name) {
-  const char* v = std::getenv(name);
-  return (v != nullptr && v[0] != '\0') ? v : nullptr;
-}
 
 TimePoint Stamp(const DurabilityOptions& opts) {
   return opts.now ? opts.now() : TimePoint{};
@@ -37,18 +31,6 @@ Status EnsureDir(const std::string& path) {
     }
   }
   return Status::Ok();
-}
-
-DurabilityOptions DurabilityOptionsFromEnv(DurabilityOptions base) {
-  if (const char* v = Env("ECC_DURABILITY_DIR")) base.dir = v;
-  if (const char* v = Env("ECC_DURABILITY_FSYNC")) {
-    base.fsync = !(v[0] == '0' && v[1] == '\0');
-  }
-  if (const char* v = Env("ECC_DURABILITY_SNAPSHOT_EVERY")) {
-    const long long n = std::atoll(v);
-    if (n > 0) base.snapshot_every_appends = static_cast<std::uint64_t>(n);
-  }
-  return base;
 }
 
 // --- NodeDurability --------------------------------------------------------

@@ -13,8 +13,9 @@
 // state of *retired* nodes around so the recovery manager can salvage an
 // acknowledged write whose every in-memory copy died (SalvageValue).
 //
-// Opt-in: everything here is off unless a durability directory is
-// configured (ECC_DURABILITY_DIR for the env overlay).
+// Opt-in: everything here is off unless DurabilityOptions::dir names a
+// durability directory (set in code; fleet_runner takes --durability-dir
+// or ECC_DURABILITY_DIR).
 #pragma once
 
 #include <cstdint>
@@ -47,11 +48,6 @@ struct DurabilityOptions {
   /// Virtual-clock source for trace stamps; nullptr stamps t = 0.
   std::function<TimePoint()> now;
 };
-
-/// Overlay `base` with ECC_DURABILITY_DIR, ECC_DURABILITY_FSYNC and
-/// ECC_DURABILITY_SNAPSHOT_EVERY.
-[[nodiscard]] DurabilityOptions DurabilityOptionsFromEnv(
-    DurabilityOptions base = {});
 
 /// What Attach() recovered from disk.
 struct RecoverStats {

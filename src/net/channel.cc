@@ -7,14 +7,4 @@ void Channel::Wait(Duration d) {
   if (c != nullptr) c->Advance(d);
 }
 
-const char* CallFaultKindName(CallFaultKind k) {
-  switch (k) {
-    case CallFaultKind::kNone: return "NONE";
-    case CallFaultKind::kDropRequest: return "DROP_REQUEST";
-    case CallFaultKind::kDropResponse: return "DROP_RESPONSE";
-    case CallFaultKind::kDelay: return "DELAY";
-  }
-  return "UNKNOWN";
-}
-
 }  // namespace ecc::net

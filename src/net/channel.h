@@ -7,8 +7,6 @@
 //   * LoopbackChannel (rpc.h)      — in-process dispatch, transfer *time*
 //     charged to a virtual clock from a NetworkModel.  The simulator's
 //     transport.
-//   * SocketTransport (socket_channel.h) — a real Unix socketpair and a
-//     server thread: the kernel boundary without an address.
 //   * TcpChannel (tcp_channel.h)   — real TCP to a host:port served by an
 //     epoll event loop (tcp_server.h), with per-endpoint connection
 //     pooling.  The deployable transport.
@@ -46,8 +44,6 @@ enum class CallFaultKind : std::uint8_t {
   kDropResponse,  ///< server executed, but the response is lost
   kDelay,         ///< extra wire latency, call otherwise succeeds
 };
-
-[[nodiscard]] const char* CallFaultKindName(CallFaultKind k);
 
 struct CallFault {
   CallFaultKind kind = CallFaultKind::kNone;

@@ -12,6 +12,9 @@
 
 namespace ecc::net::framing {
 
+namespace {
+
+/// Read exactly n bytes.
 IoResult ReadFull(int fd, char* buf, std::size_t n) {
   std::size_t done = 0;
   while (done < n) {
@@ -27,21 +30,7 @@ IoResult ReadFull(int fd, char* buf, std::size_t n) {
   return IoResult::kOk;
 }
 
-IoResult WriteFull(int fd, const char* buf, std::size_t n) {
-  std::size_t done = 0;
-  while (done < n) {
-    // MSG_NOSIGNAL: a peer that is gone must surface as an error return
-    // (EPIPE), never as a process-killing SIGPIPE.
-    const ssize_t w = ::send(fd, buf + done, n - done, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return IoResult::kTimeout;
-      return IoResult::kError;
-    }
-    done += static_cast<std::size_t>(w);
-  }
-  return IoResult::kOk;
-}
+}  // namespace
 
 StatusOr<Message> ReadFrame(int fd, std::size_t max_frame_bytes,
                             IoResult* io_fail) {
@@ -96,7 +85,8 @@ IoResult WriteFrame(int fd, const Message& m, std::uint64_t* bytes) {
   msg.msg_iov = iov;
   msg.msg_iovlen = 2;
   while (msg.msg_iovlen > 0) {
-    // MSG_NOSIGNAL: see WriteFull.
+    // MSG_NOSIGNAL: a peer that is gone must surface as an error return
+    // (EPIPE), never as a process-killing SIGPIPE.
     const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;

@@ -1,12 +1,12 @@
-// Blocking framed IO over a byte-stream descriptor, shared by the
-// socketpair transport (socket_channel.cc) and the TCP client channel
-// (tcp_channel.cc).  The frame layout is exactly Message::Serialize (see
-// kFrameHeaderBytes in message.h), but neither direction builds that flat
-// string: a frame is written as header + payload in one sendmsg, and read
-// as a header, then the payload straight into the Message.
+// Blocking framed IO over a byte-stream descriptor: how the TCP client
+// channel (tcp_channel.cc) writes requests and reads replies.  The frame
+// layout is exactly Message::Serialize (see kFrameHeaderBytes in
+// message.h), but neither direction builds that flat string: a frame is
+// written as header + payload in one sendmsg, and read as a header, then
+// the payload straight into the Message.
 //
 // Hardening contract:
-//   * writes go through send/sendmsg(MSG_NOSIGNAL) — a dead peer yields an
+//   * writes go through sendmsg(MSG_NOSIGNAL) — a dead peer yields an
 //     error return, never SIGPIPE;
 //   * headers are validated (known tag, bounded length) BEFORE the frame
 //     buffer is allocated, and the CRC32C is checked before a frame is
@@ -29,12 +29,6 @@ enum class IoResult : std::uint8_t {
   kTimeout,  ///< SO_RCVTIMEO / SO_SNDTIMEO fired
   kError,    ///< any other errno (peer reset, bad fd, ...)
 };
-
-/// Read exactly n bytes.
-[[nodiscard]] IoResult ReadFull(int fd, char* buf, std::size_t n);
-
-/// Write exactly n bytes via send(MSG_NOSIGNAL).
-[[nodiscard]] IoResult WriteFull(int fd, const char* buf, std::size_t n);
 
 /// Read one framed Message.  NotFound on clean EOF before a frame,
 /// Unavailable on timeout or mid-frame loss, InvalidArgument on a header

@@ -28,8 +28,8 @@
 // stripe mutex per cache node, so a node's channel and shard are only ever
 // driven by the stripe holder.  The clock pointer is safe to share (the
 // VirtualClock is atomic); an interceptor must be internally synchronized
-// (FaultInjector is).  Real transports (socket_channel.h, tcp_channel.h)
-// are internally synchronized and take concurrent callers directly.
+// (FaultInjector is).  The real transport (tcp_channel.h) is internally
+// synchronized and takes concurrent callers directly.
 #pragma once
 
 #include <cstdint>

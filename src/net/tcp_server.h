@@ -4,8 +4,8 @@
 // (the exact Message::Serialize layout) to any number of concurrent
 // connections, dispatching each complete request frame through an
 // RpcServer and writing the framed response back.  Dispatch failures
-// travel as kError frames, exactly like the loopback and socketpair
-// transports, so CallWithRetry semantics are identical across wires.
+// travel as kError frames, carrying the status code the loopback channel
+// returns directly, so CallWithRetry semantics are identical across wires.
 //
 // Event-loop architecture (beng-proxy's src/event idiom, scaled down):
 //   * a dedicated accept loop owns the listening socket behind its own

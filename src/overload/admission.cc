@@ -4,14 +4,6 @@
 
 namespace ecc::overload {
 
-const char* AdmissionPolicyName(AdmissionPolicy p) {
-  switch (p) {
-    case AdmissionPolicy::kRejectNew: return "reject_new";
-    case AdmissionPolicy::kDropOldest: return "drop_oldest";
-  }
-  return "unknown";
-}
-
 AdmissionQueue::AdmissionQueue(AdmissionOptions opts) : opts_(opts) {}
 
 AdmissionQueue::Ticket AdmissionQueue::Enter() {

@@ -26,8 +26,6 @@ enum class AdmissionPolicy {
   kDropOldest,  ///< full queue revokes the oldest waiting miss instead
 };
 
-[[nodiscard]] const char* AdmissionPolicyName(AdmissionPolicy p);
-
 struct AdmissionOptions {
   /// Maximum pending misses (waiting + in service).  0 = unbounded.
   std::size_t queue_limit = 0;

@@ -1,67 +1,12 @@
 #include "overload/overload.h"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace ecc::overload {
 
 namespace {
 
 thread_local Deadline tls_deadline;  // inactive by default
 
-const char* Env(const char* name) {
-  const char* v = std::getenv(name);
-  return (v == nullptr || *v == '\0') ? nullptr : v;
-}
-
-bool EnvFlag(const char* name, bool fallback) {
-  const char* v = Env(name);
-  if (v == nullptr) return fallback;
-  return !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-           std::strcmp(v, "false") == 0);
-}
-
-std::int64_t EnvInt(const char* name, std::int64_t fallback) {
-  const char* v = Env(name);
-  if (v == nullptr) return fallback;
-  return std::strtoll(v, nullptr, 0);
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* v = Env(name);
-  if (v == nullptr) return fallback;
-  return std::strtod(v, nullptr);
-}
-
 }  // namespace
-
-OverloadOptions OverloadOptionsFromEnv(OverloadOptions base) {
-  base.enabled = EnvFlag("ECC_OVERLOAD", base.enabled);
-  base.query_deadline = Duration::Millis(
-      EnvInt("ECC_DEADLINE_MS", base.query_deadline.micros() / 1000));
-  base.admission.queue_limit = static_cast<std::size_t>(EnvInt(
-      "ECC_QUEUE_LIMIT", static_cast<std::int64_t>(base.admission.queue_limit)));
-  if (const char* p = Env("ECC_QUEUE_POLICY"); p != nullptr) {
-    base.admission.policy = std::strcmp(p, "drop_oldest") == 0
-                                ? AdmissionPolicy::kDropOldest
-                                : AdmissionPolicy::kRejectNew;
-  }
-  base.breaker_enabled = EnvFlag("ECC_BREAKER", base.breaker_enabled);
-  base.breaker.window = Duration::Millis(
-      EnvInt("ECC_BREAKER_WINDOW_MS", base.breaker.window.micros() / 1000));
-  base.breaker.failure_threshold =
-      EnvDouble("ECC_BREAKER_THRESHOLD", base.breaker.failure_threshold);
-  base.breaker.min_samples = static_cast<std::size_t>(
-      EnvInt("ECC_BREAKER_MIN_SAMPLES",
-             static_cast<std::int64_t>(base.breaker.min_samples)));
-  base.breaker.open_cooldown = Duration::Millis(EnvInt(
-      "ECC_BREAKER_COOLDOWN_MS", base.breaker.open_cooldown.micros() / 1000));
-  base.stale_serve = EnvFlag("ECC_STALE", base.stale_serve);
-  base.stale_bound_slices = static_cast<std::uint64_t>(
-      EnvInt("ECC_STALE_BOUND",
-             static_cast<std::int64_t>(base.stale_bound_slices)));
-  return base;
-}
 
 Deadline CurrentDeadline() { return tls_deadline; }
 

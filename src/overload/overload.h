@@ -1,6 +1,6 @@
 // Overload-protection options and per-query deadline context.
 //
-// One OverloadOptions rides in CoordinatorOptions / ParallelOptions and
+// One OverloadOptions, set in code as CoordinatorOptions::overload,
 // configures the whole subsystem: per-query deadlines, the bounded
 // admission queue in front of the service, the circuit breaker around it,
 // and degraded (stale) answers when the protected path refuses a miss.
@@ -50,18 +50,6 @@ struct OverloadOptions {
   /// spill lookup; roughly a spill-tier read).
   Duration stale_probe_cost = Duration::Millis(220);
 };
-
-/// Overlay `base` with ECC_* environment knobs (see README):
-///   ECC_OVERLOAD=1            enable the subsystem
-///   ECC_DEADLINE_MS=<n>       per-query deadline
-///   ECC_QUEUE_LIMIT=<n>       admission queue bound
-///   ECC_QUEUE_POLICY=reject_new|drop_oldest
-///   ECC_BREAKER=1             enable the breaker
-///   ECC_BREAKER_WINDOW_MS, ECC_BREAKER_THRESHOLD, ECC_BREAKER_MIN_SAMPLES,
-///   ECC_BREAKER_COOLDOWN_MS   breaker tuning
-///   ECC_STALE=0|1, ECC_STALE_BOUND=<slices>   degraded answers
-[[nodiscard]] OverloadOptions OverloadOptionsFromEnv(
-    OverloadOptions base = {});
 
 /// The deadline governing work on this thread; inactive when no
 /// ScopedDeadline is open.

@@ -1,9 +1,5 @@
 #include "policy/policy.h"
 
-#include <cstdlib>
-#include <cstring>
-
-#include "common/log.h"
 #include "policy/admission.h"
 #include "policy/cost_ttl.h"
 #include "policy/provision.h"
@@ -96,55 +92,6 @@ const char* PolicyKindName(PolicyKind k) {
     case PolicyKind::kPredictive: return "predictive";
   }
   return "unknown";
-}
-
-StatusOr<PolicyKind> ParsePolicyKind(const std::string& name) {
-  for (const PolicyKind k :
-       {PolicyKind::kPaperBaseline, PolicyKind::kCostAwareTtl,
-        PolicyKind::kMthAdmission, PolicyKind::kPredictive}) {
-    if (name == PolicyKindName(k)) return k;
-  }
-  return Status::InvalidArgument("unknown policy kind: " + name);
-}
-
-namespace {
-
-const char* Env(const char* name) {
-  const char* v = std::getenv(name);
-  return (v == nullptr || *v == '\0') ? nullptr : v;
-}
-
-}  // namespace
-
-PolicyParams PolicyParamsFromEnv(PolicyParams base) {
-  if (const char* v = Env("ECC_POLICY")) {
-    auto kind = ParsePolicyKind(v);
-    if (kind.ok()) {
-      base.kind = *kind;
-    } else {
-      ECC_LOG_WARN("policy: ignoring ECC_POLICY=%s (%s)", v,
-                   kind.status().ToString().c_str());
-    }
-  }
-  if (const char* v = Env("ECC_TTL_ALPHA")) {
-    char* end = nullptr;
-    const double alpha = std::strtod(v, &end);
-    if (end != v && *end == '\0' && alpha > 0.0) {
-      base.ttl_alpha = alpha;
-    } else {
-      ECC_LOG_WARN("policy: ignoring ECC_TTL_ALPHA=%s (want a double > 0)", v);
-    }
-  }
-  if (const char* v = Env("ECC_ADMIT_M")) {
-    char* end = nullptr;
-    const long long m = std::strtoll(v, &end, 10);
-    if (end != v && *end == '\0' && m >= 1) {
-      base.admit_m = static_cast<std::size_t>(m);
-    } else {
-      ECC_LOG_WARN("policy: ignoring ECC_ADMIT_M=%s (want an int >= 1)", v);
-    }
-  }
-  return base;
 }
 
 std::unique_ptr<ElasticityPolicy> MakePolicy(const PolicyParams& params) {

@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "core/types.h"
 
 namespace ecc::policy {
@@ -228,13 +227,10 @@ enum class PolicyKind {
 };
 
 [[nodiscard]] const char* PolicyKindName(PolicyKind k);
-/// Accepts the PolicyKindName spellings ("paper-baseline", "cost-ttl",
-/// "mth-admission", "predictive").
-[[nodiscard]] StatusOr<PolicyKind> ParsePolicyKind(const std::string& name);
 
 /// Tuning for every policy in one flat struct (the factory reads only the
-/// fields its kind uses).  Env overlay: ECC_POLICY, ECC_TTL_ALPHA,
-/// ECC_ADMIT_M (see PolicyParamsFromEnv and README).
+/// fields its kind uses).  Callers set it in code, e.g.
+/// CoordinatorOptions::policy.
 struct PolicyParams {
   PolicyKind kind = PolicyKind::kPaperBaseline;
 
@@ -242,7 +238,7 @@ struct PolicyParams {
   std::size_t contraction_epsilon = 5;
 
   // Cost-aware TTL controller (cost_ttl.h).
-  /// Headroom multiplier on the observed reuse-gap EMA (ECC_TTL_ALPHA).
+  /// Headroom multiplier on the observed reuse-gap EMA.
   double ttl_alpha = 2.0;
   /// TTL granted to keys seen only once, as a fraction of break-even.
   double ttl_one_shot_fraction = 0.5;
@@ -254,7 +250,7 @@ struct PolicyParams {
   std::size_t ttl_tracked_cap = std::size_t{1} << 17;
 
   // Mth-request admission (admission.h).
-  /// Admit a key on its Mth requested miss (ECC_ADMIT_M; 1 = admit all).
+  /// Admit a key on its Mth requested miss (1 = admit all).
   std::size_t admit_m = 2;
   /// Ghost-table bound (keys remembered without being cached).
   std::size_t admit_ghost_capacity = std::size_t{1} << 16;
@@ -267,11 +263,6 @@ struct PolicyParams {
   /// Forecast-to-current volume ratio that triggers pre-provisioning.
   double provision_grow_ratio = 1.3;
 };
-
-/// Overlay environment variables onto `base`: ECC_POLICY (kind name),
-/// ECC_TTL_ALPHA (double > 0), ECC_ADMIT_M (size_t >= 1).  Malformed
-/// values are ignored with a warning, matching the recovery env overlay.
-[[nodiscard]] PolicyParams PolicyParamsFromEnv(PolicyParams base);
 
 /// Build a policy of `params.kind`.  The predictive kind starts without a
 /// forecast (inert: never prewarms) — attach one via

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -11,37 +10,6 @@
 #include "recovery/invariant_checker.h"
 
 namespace ecc::recovery {
-
-namespace {
-
-const char* Env(const char* name) {
-  const char* v = std::getenv(name);
-  return (v == nullptr || *v == '\0') ? nullptr : v;
-}
-
-bool EnvFlag(const char* name, bool fallback) {
-  const char* v = Env(name);
-  if (v == nullptr) return fallback;
-  return !(v[0] == '0' && v[1] == '\0');
-}
-
-std::int64_t EnvInt(const char* name, std::int64_t fallback) {
-  const char* v = Env(name);
-  return v == nullptr ? fallback : std::strtoll(v, nullptr, 10);
-}
-
-}  // namespace
-
-RecoveryOptions RecoveryOptionsFromEnv(RecoveryOptions base) {
-  base.enabled = EnvFlag("ECC_RECOVERY", base.enabled);
-  base.heartbeat_every = Duration::Millis(
-      EnvInt("ECC_HEARTBEAT_MS", base.heartbeat_every.micros() / 1000));
-  base.suspect_threshold = static_cast<std::size_t>(EnvInt(
-      "ECC_SUSPECT_N", static_cast<std::int64_t>(base.suspect_threshold)));
-  base.scrub_every_ticks = static_cast<std::uint64_t>(EnvInt(
-      "ECC_SCRUB_EVERY", static_cast<std::int64_t>(base.scrub_every_ticks)));
-  return base;
-}
 
 // --- FailureDetector -------------------------------------------------------
 

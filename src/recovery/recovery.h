@@ -91,13 +91,6 @@ struct RecoveryOptions {
   obs::Observability obs;
 };
 
-/// Overlay `base` with ECC_* environment knobs (see README):
-///   ECC_RECOVERY=1          enable the subsystem
-///   ECC_HEARTBEAT_MS=<n>    heartbeat round spacing (0 = detector off)
-///   ECC_SUSPECT_N=<n>       missed rounds before confirmation
-///   ECC_SCRUB_EVERY=<n>     scrub period in ticks (0 = never)
-[[nodiscard]] RecoveryOptions RecoveryOptionsFromEnv(RecoveryOptions base = {});
-
 /// Heartbeat prober with a per-node suspicion counter.  Poll() is cheap on
 /// a healthy fleet: NodeCount probes, no virtual-time charge.
 class FailureDetector {

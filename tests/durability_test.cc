@@ -543,23 +543,5 @@ TEST(FleetDurabilityTest, DisabledFactoryHandsOutNothing) {
   EXPECT_EQ(fleet.Factory()(1, &node), nullptr);
 }
 
-// --- Env overlay -----------------------------------------------------------
-
-TEST(DurabilityOptionsTest, EnvOverlay) {
-  ::setenv("ECC_DURABILITY_DIR", "/tmp/ecc_env_dir", 1);
-  ::setenv("ECC_DURABILITY_FSYNC", "0", 1);
-  ::setenv("ECC_DURABILITY_SNAPSHOT_EVERY", "77", 1);
-  const DurabilityOptions opts = DurabilityOptionsFromEnv();
-  EXPECT_EQ(opts.dir, "/tmp/ecc_env_dir");
-  EXPECT_FALSE(opts.fsync);
-  EXPECT_EQ(opts.snapshot_every_appends, 77u);
-  ::unsetenv("ECC_DURABILITY_DIR");
-  ::unsetenv("ECC_DURABILITY_FSYNC");
-  ::unsetenv("ECC_DURABILITY_SNAPSHOT_EVERY");
-  const DurabilityOptions fresh = DurabilityOptionsFromEnv();
-  EXPECT_TRUE(fresh.dir.empty());
-  EXPECT_TRUE(fresh.fsync);
-}
-
 }  // namespace
 }  // namespace ecc::durability

@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -240,35 +239,6 @@ TEST(AdmissionQueueTest, DropOldestRevokesWaitingTicket) {
   EXPECT_EQ(stats.dropped, 1u);
   EXPECT_EQ(stats.rejected, 1u);
   EXPECT_LE(stats.peak_depth, 2u);
-}
-
-// --- Env knobs --------------------------------------------------------------
-
-TEST(OverloadOptionsTest, EnvOverlayParsesKnobs) {
-  ASSERT_EQ(setenv("ECC_OVERLOAD", "1", 1), 0);
-  ASSERT_EQ(setenv("ECC_DEADLINE_MS", "1500", 1), 0);
-  ASSERT_EQ(setenv("ECC_QUEUE_LIMIT", "8", 1), 0);
-  ASSERT_EQ(setenv("ECC_QUEUE_POLICY", "drop_oldest", 1), 0);
-  ASSERT_EQ(setenv("ECC_BREAKER", "1", 1), 0);
-  ASSERT_EQ(setenv("ECC_BREAKER_THRESHOLD", "0.25", 1), 0);
-  ASSERT_EQ(setenv("ECC_STALE", "0", 1), 0);
-
-  const overload::OverloadOptions o = overload::OverloadOptionsFromEnv();
-  EXPECT_TRUE(o.enabled);
-  EXPECT_EQ(o.query_deadline, Duration::Millis(1500));
-  EXPECT_EQ(o.admission.queue_limit, 8u);
-  EXPECT_EQ(o.admission.policy, AdmissionPolicy::kDropOldest);
-  EXPECT_TRUE(o.breaker_enabled);
-  EXPECT_DOUBLE_EQ(o.breaker.failure_threshold, 0.25);
-  EXPECT_FALSE(o.stale_serve);
-
-  for (const char* v :
-       {"ECC_OVERLOAD", "ECC_DEADLINE_MS", "ECC_QUEUE_LIMIT",
-        "ECC_QUEUE_POLICY", "ECC_BREAKER", "ECC_BREAKER_THRESHOLD",
-        "ECC_STALE"}) {
-    ASSERT_EQ(unsetenv(v), 0);
-  }
-  EXPECT_FALSE(overload::OverloadOptionsFromEnv().enabled);
 }
 
 // --- Scripted brownout faults -----------------------------------------------

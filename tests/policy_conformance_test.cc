@@ -413,18 +413,5 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// The CI matrix exports ECC_POLICY per leg; this test picks the policy the
-// same way production wiring does (PolicyParamsFromEnv -> MakePolicy) and
-// replays the phased scenario under it, so each leg exercises its policy
-// through the env path too.
-TEST(PolicyConformanceEnvTest, EnvSelectedPolicyRunsPhasedScenario) {
-  const PolicyParams params = PolicyParamsFromEnv({});
-  RunResult result;
-  ASSERT_NO_FATAL_FAILURE(
-      RunScenarioInto(kScenarios[0], params, /*workers=*/1, &result));
-  EXPECT_GT(result.queries, 0u);
-  EXPECT_GT(result.decisions, 0u);
-}
-
 }  // namespace
 }  // namespace ecc::policy

@@ -1,10 +1,9 @@
 // Unit tests for the elasticity policy engine (DESIGN.md §13): epsilon
 // cadence carry (the ISSUE 7 drift regression), cost-aware TTL math,
-// Mth-request ghost table, predictive prewarm quota, the env-driven
-// factory, decision-log encoding, and the seeded determinism property.
+// Mth-request ghost table, predictive prewarm quota, the factory,
+// decision-log encoding, and the seeded determinism property.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -334,48 +333,16 @@ TEST(ProvisionTest, ContractionVetoedWhileForecastRises) {
   EXPECT_EQ(p.contraction_vetoes(), 1u);
 }
 
-// --- Factory and env overlay ------------------------------------------------
+// --- Factory ----------------------------------------------------------------
 
 TEST(PolicyFactoryTest, KindNamesRoundTrip) {
   for (const PolicyKind k :
        {PolicyKind::kPaperBaseline, PolicyKind::kCostAwareTtl,
         PolicyKind::kMthAdmission, PolicyKind::kPredictive}) {
-    auto parsed = ParsePolicyKind(PolicyKindName(k));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, k);
     PolicyParams params;
     params.kind = k;
     EXPECT_EQ(MakePolicy(params)->Name(), PolicyKindName(k));
   }
-  EXPECT_FALSE(ParsePolicyKind("lru").ok());
-  EXPECT_FALSE(ParsePolicyKind("").ok());
-}
-
-TEST(PolicyFactoryTest, EnvOverlayAppliesWellFormedValues) {
-  setenv("ECC_POLICY", "mth-admission", 1);
-  setenv("ECC_TTL_ALPHA", "3.5", 1);
-  setenv("ECC_ADMIT_M", "4", 1);
-  const PolicyParams p = PolicyParamsFromEnv({});
-  unsetenv("ECC_POLICY");
-  unsetenv("ECC_TTL_ALPHA");
-  unsetenv("ECC_ADMIT_M");
-  EXPECT_EQ(p.kind, PolicyKind::kMthAdmission);
-  EXPECT_DOUBLE_EQ(p.ttl_alpha, 3.5);
-  EXPECT_EQ(p.admit_m, 4u);
-}
-
-TEST(PolicyFactoryTest, EnvOverlayIgnoresMalformedValues) {
-  setenv("ECC_POLICY", "round-robin", 1);
-  setenv("ECC_TTL_ALPHA", "-2.0", 1);
-  setenv("ECC_ADMIT_M", "many", 1);
-  const PolicyParams base;
-  const PolicyParams p = PolicyParamsFromEnv(base);
-  unsetenv("ECC_POLICY");
-  unsetenv("ECC_TTL_ALPHA");
-  unsetenv("ECC_ADMIT_M");
-  EXPECT_EQ(p.kind, base.kind);
-  EXPECT_DOUBLE_EQ(p.ttl_alpha, base.ttl_alpha);
-  EXPECT_EQ(p.admit_m, base.admit_m);
 }
 
 // --- DecisionLog ------------------------------------------------------------

@@ -495,28 +495,6 @@ TEST(ScrubTest, PeriodicScrubRunsOnSchedule) {
   EXPECT_EQ(f.Metric("recovery.scrub_divergent_buckets"), 0u);
 }
 
-// --- Options / env ---------------------------------------------------------
-
-TEST(RecoveryOptionsTest, EnvOverlayParsesKnobs) {
-  ASSERT_EQ(setenv("ECC_RECOVERY", "1", 1), 0);
-  ASSERT_EQ(setenv("ECC_HEARTBEAT_MS", "125", 1), 0);
-  ASSERT_EQ(setenv("ECC_SUSPECT_N", "5", 1), 0);
-  ASSERT_EQ(setenv("ECC_SCRUB_EVERY", "7", 1), 0);
-  const RecoveryOptions r = RecoveryOptionsFromEnv();
-  EXPECT_TRUE(r.enabled);
-  EXPECT_EQ(r.heartbeat_every, Duration::Millis(125));
-  EXPECT_EQ(r.suspect_threshold, 5u);
-  EXPECT_EQ(r.scrub_every_ticks, 7u);
-  ASSERT_EQ(unsetenv("ECC_RECOVERY"), 0);
-  ASSERT_EQ(unsetenv("ECC_HEARTBEAT_MS"), 0);
-  ASSERT_EQ(unsetenv("ECC_SUSPECT_N"), 0);
-  ASSERT_EQ(unsetenv("ECC_SCRUB_EVERY"), 0);
-  // Defaults survive an empty environment.
-  const RecoveryOptions d = RecoveryOptionsFromEnv();
-  EXPECT_FALSE(d.enabled);
-  EXPECT_EQ(d.suspect_threshold, 3u);
-}
-
 // --- Coordinator wiring ----------------------------------------------------
 
 sfc::LinearizerOptions Grid() {

@@ -17,7 +17,6 @@
 #include "net/message.h"
 #include "net/netmodel.h"
 #include "net/rpc.h"
-#include "net/socket_channel.h"
 #include "net/tcp_channel.h"
 #include "net/tcp_server.h"
 #include "service/service.h"
@@ -302,18 +301,16 @@ TEST(RpcRetryTest, FaultyServiceFailsScriptedInvocations) {
 // --- Transport-parametrized retry suite -----------------------------------
 //
 // The same fault/retry scenarios, run over every Channel implementation:
-// the simulated loopback, the blocking socketpair transport, and the epoll
-// TCP transport.  Each wall-clock transport is handed the test's
-// VirtualClock, so CallWithRetry's Wait() calls advance simulated time
-// instead of sleeping — the exact deterministic accounting assertions hold
-// unchanged, and the suite stays fast over real sockets.
+// the simulated loopback and the epoll TCP transport.  The TCP channel is
+// handed the test's VirtualClock, so CallWithRetry's Wait() calls advance
+// simulated time instead of sleeping — the exact deterministic accounting
+// assertions hold unchanged, and the suite stays fast over real sockets.
 
-enum class TransportKind { kLoopback, kSocketpair, kTcp };
+enum class TransportKind { kLoopback, kTcp };
 
 const char* TransportName(TransportKind k) {
   switch (k) {
     case TransportKind::kLoopback: return "Loopback";
-    case TransportKind::kSocketpair: return "Socketpair";
     case TransportKind::kTcp: return "Tcp";
   }
   return "Unknown";
@@ -327,9 +324,6 @@ class RetryOverTransportTest : public ::testing::TestWithParam<TransportKind> {
       case TransportKind::kLoopback:
         channel_ = std::make_unique<LoopbackChannel>(&cs_.server,
                                                      NetworkModel{}, &clock_);
-        break;
-      case TransportKind::kSocketpair:
-        channel_ = std::make_unique<SocketTransport>(&cs_.server, &clock_);
         break;
       case TransportKind::kTcp: {
         tcp_server_ = std::make_unique<TcpServer>(&cs_.server);
@@ -446,7 +440,7 @@ TEST_P(RetryOverTransportTest, DelayFaultResolvesWithoutRetry) {
 
 TEST_P(RetryOverTransportTest, NonRetryableHandlerErrorSurvivesTheWire) {
   // A handler-level InvalidArgument must come back as InvalidArgument on
-  // every transport — the socket transports carry the status code inside
+  // every transport — the TCP transport carries the status code inside
   // the kError frame — so CallWithRetry answers in one attempt instead of
   // re-executing a known-bad request for the whole retry budget.
   cs_.respond_with = Status::InvalidArgument("handler says no");
@@ -482,8 +476,7 @@ TEST_P(RetryOverTransportTest, DeadlineClipsRetryBudget) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllTransports, RetryOverTransportTest,
-    ::testing::Values(TransportKind::kLoopback, TransportKind::kSocketpair,
-                      TransportKind::kTcp),
+    ::testing::Values(TransportKind::kLoopback, TransportKind::kTcp),
     [](const ::testing::TestParamInfo<TransportKind>& param) {
       return TransportName(param.param);
     });

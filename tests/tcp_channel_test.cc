@@ -1,7 +1,8 @@
 // Tests for the real TCP transport: epoll TcpServer + pooled TcpChannel
 // over loopback TCP — round trips, connection pooling, concurrent callers,
 // large frames, malformed-frame rejection, dead/absent peers, and the full
-// cache protocol against a CacheNode.
+// cache protocol against a CacheNode — plus the blocking framed IO under
+// TcpChannel (framing.h), driven on a bare socketpair.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "core/cache_node.h"
+#include "net/framing.h"
 #include "net/message.h"
 #include "net/tcp_channel.h"
 #include "net/tcp_server.h"
@@ -466,6 +468,83 @@ TEST(TcpChannelTest, TornBodySurfacesUnavailableNotGarbage) {
   EXPECT_EQ(out.status().code(), StatusCode::kUnavailable);
   server.join();
   ::close(listener);
+}
+
+// --- Framed IO on a bare socketpair -----------------------------------------
+//
+// TcpChannel maps every failed read to Unavailable, so its own tests cannot
+// see two things framing::ReadFrame/WriteFrame promise: a clean EOF before
+// any frame is NotFound while a torn frame is Unavailable (pooled callers
+// use the difference to tell a stale connection from a truncated reply),
+// and a write into a dead peer returns an error instead of raising SIGPIPE.
+// These tests drive that exact path with a surgically beheaded frame and
+// assert the read surfaces a bounded, typed failure — never a hang, a
+// crash, or a garbage Message.
+
+TEST(FramingTest, DeadPeerWriteSurfacesErrorNotSigpipe) {
+  // Regression: the frame writer used ::write, so writing a frame into a
+  // socket whose peer had gone delivered SIGPIPE and killed the whole
+  // process.  With MSG_NOSIGNAL the kernel returns EPIPE instead and the
+  // framing layer reports it as an IO error.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);  // the peer is dead before we ever write
+  const Message request = GetRequest{1}.Encode();
+  auto result = framing::IoResult::kOk;
+  for (int i = 0; i < 64 && result == framing::IoResult::kOk; ++i) {
+    result = framing::WriteFrame(fds[0], request);
+  }
+  // Reaching this line at all is the real assertion: no SIGPIPE fired.
+  EXPECT_EQ(result, framing::IoResult::kError);
+  ::close(fds[0]);
+}
+
+TEST(FramingTest, TornHeaderOnSocketpairIsUnavailable) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  GetResponse resp;
+  resp.found = true;
+  resp.value = "v";
+  const std::string frame = resp.Encode().Serialize();
+  // 3 of kFrameHeaderBytes header bytes, then the peer dies.
+  ASSERT_EQ(::send(fds[1], frame.data(), 3, MSG_NOSIGNAL), 3);
+  ::close(fds[1]);
+
+  auto out = framing::ReadFrame(fds[0], 64u << 20);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kUnavailable);
+  ::close(fds[0]);
+}
+
+TEST(FramingTest, TornBodyOnSocketpairIsUnavailable) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  GetResponse resp;
+  resp.found = true;
+  resp.value = std::string(100, 'v');
+  const std::string frame = resp.Encode().Serialize();
+  // Full header (promising a 100+ byte payload), 10 payload bytes, death.
+  const std::size_t sent = kFrameHeaderBytes + 10;
+  ASSERT_EQ(::send(fds[1], frame.data(), sent, MSG_NOSIGNAL),
+            static_cast<ssize_t>(sent));
+  ::close(fds[1]);
+
+  auto out = framing::ReadFrame(fds[0], 64u << 20);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kUnavailable);
+  ::close(fds[0]);
+}
+
+TEST(FramingTest, CleanEofBeforeAnyFrameIsNotFound) {
+  // Contrast case: death BETWEEN frames is a clean close, which pooled
+  // callers (tcp_channel.cc) use to tell staleness from truncation.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  auto out = framing::ReadFrame(fds[0], 64u << 20);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kNotFound);
+  ::close(fds[0]);
 }
 
 }  // namespace
